@@ -17,9 +17,11 @@ angles) and differ in how line capacity is modeled:
     conductor heat balance: a linearized AC flow (certified small-angle trig
     segments) feeds a current magnitude, tangent cuts bound its square, and
     robust-capped convection plus a log-domain radiation surrogate absorb
-    the heat.  Every binary-continuous product goes through the exact
-    product gadget and every big-M constant is logged in the model metadata
-    for post-solve auditing.
+    the heat.  Convection is one column per line and period on the
+    governing correlation branch, whose film coefficient is known at build
+    time, so no binary picks the branch.  Every binary-continuous product
+    goes through the exact product gadget and every big-M constant is
+    logged in the model metadata for post-solve auditing.
 
 Solutions come back through :func:`extract_plan`, which refuses fractional
 binaries, recomputes the objective from case data, and reports big-M
@@ -35,12 +37,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ExtractionError, ModelBuildError
-from .ir import BINARY, CONTINUOUS, EQ, GE, LE, GadgetFragment, ModelIR
+from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR
 from .linearize import (TrigSegments, gadget_binary_product,
-                        gadget_convection_select,
                         gadget_square_cuts, gadget_switched_dc_flow,
                         trig_segments)
-from .network import CaseSystem, LineSpec, PeriodSpec, validate_case
+from .network import CaseSystem, LineSpec, validate_case
 from .thermal import RadiationLogFit, line_convection, radiation_log_fit
 from .uncertainty import RobustParams, robust_margin
 
@@ -54,7 +55,8 @@ OBJECTIVE_REL_TOL = 1e-6
 
 @dataclass
 class VarMap:
-    """Variable ids for every modeled quantity, plus gadget bookkeeping."""
+    """Variable ids of the build decisions, dispatch, flows, angles and
+    temperatures."""
 
     model: ModelIR
     mode: str
@@ -65,13 +67,6 @@ class VarMap:
     angle: dict[tuple[str, str], int] = field(default_factory=dict)
     angle_diff: dict[tuple[str, str], int] = field(default_factory=dict)
     temperature: dict[tuple[str, str], int] = field(default_factory=dict)
-    current: dict[tuple[str, str], int] = field(default_factory=dict)
-    current_sq: dict[tuple[str, str], int] = field(default_factory=dict)
-    conv_primary: dict[tuple[str, str], int] = field(default_factory=dict)
-    conv_secondary: dict[tuple[str, str], int] = field(default_factory=dict)
-    radiation: dict[tuple[str, str], int] = field(default_factory=dict)
-    conv_select: dict[tuple[str, str], int] = field(default_factory=dict)
-    fragments: dict[str, GadgetFragment] = field(default_factory=dict)
 
 
 def reference_bus(case: CaseSystem) -> str:
@@ -100,6 +95,13 @@ def _require_weather(case: CaseSystem):
                 raise ModelBuildError(
                     f"dtlr_robust needs weather for line {c.id!r} in "
                     f"period {d.id!r}")
+    hottest = max((c.t_max for c in case.lines), default=0.0)
+    coldest = min((d.weather[c.id].ambient_temp for d in case.periods
+                   for c in case.lines), default=-math.inf)
+    if hottest <= coldest:
+        raise ModelBuildError(
+            f"no line's t_max is above the coldest ambient temperature "
+            f"({hottest} K <= {coldest} K); check t_max against the weather")
 
 
 def _ac_flow_bound(line: LineSpec, trig: TrigSegments) -> float:
@@ -197,7 +199,6 @@ def build_igtep(case: CaseSystem, params: RobustParams | None, mode: str, *,
                     frag = gadget_switched_dc_flow(
                         ir, vm.line_built[c.id], pf, c.susceptance, a_s, a_r,
                         c.flow_limit, tag, window=angle_span)
-                    vm.fragments[tag] = frag
                     big_m_log[f"{tag}.ohm_relax"] = frag.big_m["ohm_relax"]
                     ir.metadata["relax_rows"].append(
                         (f"{tag}.ohm_hi", vm.line_built[c.id]))
@@ -243,24 +244,6 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             "the convection caps would go negative")
     i_base = case.current_base
 
-    # One global convection big-M: headroom over the largest possible
-    # governing film coefficient times the widest temperature spread.
-    k_max = 0.0
-    t_env_min = math.inf
-    t_max_all = 0.0
-    for d in case.periods:
-        for c in case.lines:
-            w = d.weather[c.id]
-            coeffs = line_convection(c.conductor, w)
-            k_max = max(k_max, coeffs.governing)
-            t_env_min = min(t_env_min, w.ambient_temp)
-            t_max_all = max(t_max_all, c.t_max)
-    m_conv = k_max * (t_max_all - t_env_min) * 1.5
-    if m_conv <= 0:
-        raise ModelBuildError("convection big-M collapsed; check t_max "
-                              "against ambient temperatures")
-    big_m_log["convection_gate"] = m_conv
-
     fits: dict[tuple[float, float, float, float], RadiationLogFit] = {}
     sq_gaps: dict[str, float] = {}
     rad_bands: dict[str, float] = {}
@@ -283,7 +266,6 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             ir.add_row(f"adiff_def[{tag}]",
                        {x: 1.0, a_s: -1.0, a_r: 1.0}, EQ, 0.0)
             sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
-            vm.fragments[f"trig[{tag}]"] = sel.fragment
 
             # Linearized AC flow G*(1 - cos) + beta*sin of the angle
             # difference; with the cosine surrogate 1 + s*x - 2s*(l*x) the
@@ -323,11 +305,8 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             cur = ir.add_variable(f"current[{tag}]", CONTINUOUS, 0.0, x_ac)
             ir.add_row(f"cur_over_fwd[{tag}]", {cur: 1.0, pf: -1.0}, GE, 0.0)
             ir.add_row(f"cur_over_rev[{tag}]", {cur: 1.0, pf: 1.0}, GE, 0.0)
-            vm.current[key] = cur
             sq = gadget_square_cuts(ir, cur, x_ac, n_square_cuts,
                                     f"cur[{tag}]")
-            vm.fragments[f"cursq[{tag}]"] = sq
-            vm.current_sq[key] = sq.output
             c2 = c.resistance_per_meter * i_base * i_base   # W/m per (p.u.)^2
             sq_gaps[f"{c.id},{d.id}"] = c2 * sq.big_m["square_gap"]
 
@@ -340,31 +319,23 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                 ir.add_row(f"tfloor[{tag}]", {temp: 1.0, u: -t_env}, GE, 0.0)
                 tprod = gadget_binary_product(ir, u, temp, c.t_max,
                                               f"utemp[{tag}]")
-                vm.fragments[f"utemp[{tag}]"] = tprod
                 u_temp = {tprod.output: 1.0, u: -t_env}   # u*(T - T_env)
             else:
                 ir.add_row(f"tfloor[{tag}]", {temp: 1.0}, GE, t_env)
                 u_temp = {temp: 1.0}                       # T - T_env via rhs
             u_temp_rhs = 0.0 if c.candidate else t_env
 
-            # Convection branches with robust caps and branch selection.
-            coeffs = line_convection(c.conductor, weather)
-            qc1 = ir.add_variable(f"conv1[{tag}]", CONTINUOUS, 0.0, m_conv)
-            qc2 = ir.add_variable(f"conv2[{tag}]", CONTINUOUS, 0.0, m_conv)
-            vm.conv_primary[key] = qc1
-            vm.conv_secondary[key] = qc2
-            for name, q, k in ((f"conv1cap[{tag}]", qc1, coeffs.k_prime),
-                               (f"conv2cap[{tag}]", qc2, coeffs.k_double_prime)):
-                scale = (1.0 - phi_omega) * k
-                row = {q: 1.0}
-                for var, coef in u_temp.items():
-                    row[var] = row.get(var, 0.0) - scale * coef
-                ir.add_row(name, row, LE, params.mu - scale * u_temp_rhs)
-            select = gadget_convection_select(
-                ir, coeffs.k_prime, coeffs.k_double_prime, qc1, qc2, m_conv,
-                f"convsel[{tag}]")
-            vm.fragments[f"convsel[{tag}]"] = select
-            vm.conv_select[key] = select.output
+            # Governing forced convection under its robust cap.  The cap row
+            # bounds the column; a redundant finite bound on it made HiGHS
+            # search more branch-and-bound nodes.
+            k = line_convection(c.conductor, weather).governing
+            qconv = ir.add_variable(f"conv[{tag}]", CONTINUOUS, 0.0)
+            scale = (1.0 - phi_omega) * k
+            row = {qconv: 1.0}
+            for var, coef in u_temp.items():
+                row[var] = row.get(var, 0.0) - scale * coef
+            ir.add_row(f"convcap[{tag}]", row, LE,
+                       params.mu - scale * u_temp_rhs)
 
             # Radiation through the log-domain link, gated by the binary.
             eps = c.conductor.emissivity
@@ -379,11 +350,10 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             a_rad, b_rad = fit.link_coefficients(t_env)
             qrad_cap = max(0.0, a_rad * c.t_max + b_rad) + fit.band
             qrad = ir.add_variable(f"rad[{tag}]", CONTINUOUS, 0.0, qrad_cap)
-            vm.radiation[key] = qrad
             if c.candidate:
-                tprod_out = vm.fragments[f"utemp[{tag}]"].output
                 ir.add_row(f"radcap[{tag}]",
-                           {qrad: 1.0, tprod_out: -a_rad, u: -b_rad}, LE, 0.0)
+                           {qrad: 1.0, tprod.output: -a_rad, u: -b_rad},
+                           LE, 0.0)
             else:
                 ir.add_row(f"radcap[{tag}]",
                            {qrad: 1.0, temp: -a_rad}, LE, b_rad)
@@ -394,7 +364,7 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             qs = weather.solar_gain
             solar_term = (qs + phi_omega * qs
                           - params.mu * max(1.0, abs(qs)))
-            hbe = {sq.output: c2, qc1: -1.0, qc2: -1.0, qrad: -1.0}
+            hbe = {sq.output: c2, qconv: -1.0, qrad: -1.0}
             if c.candidate:
                 hbe[u] = solar_term
                 ir.add_row(f"hbe[{tag}]", hbe, LE, 0.0)

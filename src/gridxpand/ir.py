@@ -129,81 +129,23 @@ class ModelIR:
         """Binary variables whose value is not already pinned by bounds."""
         return [v for v in self.variables if v.kind == BINARY and not v.is_fixed]
 
-    def variables_in_use(self) -> set[int]:
-        used = set(self.objective)
-        for row in self.rows:
-            used.update(row.coeffs)
-        return used
-
     def evaluate_objective(self, values) -> float:
         return sum(coef * values[var] for var, coef in self.objective.items())
 
     def row_activity(self, row: Row, values) -> float:
         return sum(coef * values[var] for var, coef in row.coeffs.items())
 
-    # -- export -----------------------------------------------------------
-
-    def to_lp_text(self) -> str:
-        """Render the model in LP text format (CPLEX dialect subset)."""
-        def ident(raw: str) -> str:
-            out = []
-            for ch in raw:
-                out.append(ch if ch.isalnum() or ch in "_." else "_")
-            text = "".join(out)
-            if not text or text[0].isdigit():
-                text = "v_" + text
-            return text
-
-        vnames = [ident(v.name) for v in self.variables]
-        seen: dict[str, int] = {}
-        for i, nm in enumerate(vnames):
-            if nm in seen:
-                vnames[i] = f"{nm}__{i}"
-            seen[vnames[i]] = i
-
-        def terms(coeffs: dict[int, float]) -> str:
-            if not coeffs:
-                return "0 " + (vnames[0] if vnames else "x0")
-            parts = []
-            for var in sorted(coeffs):
-                coef = coeffs[var]
-                sign = "-" if coef < 0 else "+"
-                parts.append(f"{sign} {abs(coef):.17g} {vnames[var]}")
-            text = " ".join(parts)
-            return text[2:] if text.startswith("+ ") else text
-
-        lines = [f"\\ {self.name}", "Minimize", f" obj: {terms(self.objective)}"]
-        lines.append("Subject To")
-        sense_txt = {LE: "<=", GE: ">=", EQ: "="}
-        for row in self.rows:
-            lines.append(f" {ident(row.name)}: {terms(row.coeffs)} "
-                         f"{sense_txt[row.sense]} {row.rhs:.17g}")
-        lines.append("Bounds")
-        for v in self.variables:
-            nm = vnames[v.index]
-            lo = "-inf" if v.lower == -math.inf else f"{v.lower:.17g}"
-            hi = "+inf" if v.upper == math.inf else f"{v.upper:.17g}"
-            lines.append(f" {lo} <= {nm} <= {hi}")
-        bins = [vnames[v.index] for v in self.binaries()]
-        if bins:
-            lines.append("Binaries")
-            lines.append(" " + " ".join(bins))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class GadgetFragment:
-    """What a linearization gadget added to a model.
+    """What a linearization gadget hands back to its caller.
 
     ``output`` is the variable that carries the gadget's value (the product,
-    the magnitude, ...); gadgets that only constrain existing variables set it
+    the square, ...); gadgets that only constrain existing variables set it
     to that variable.  ``big_m`` records every bound constant the gadget baked
     into a row, keyed by a short role name, so the choice can be audited after
     a solve.
     """
 
-    variables: tuple[int, ...]
-    rows: tuple[int, ...]
     output: int
     big_m: dict = field(default_factory=dict)

@@ -4,10 +4,9 @@ Two families live here.  The first is curve fitting: single line segments
 with a certified worst-case error over a stated domain, used for the trig
 terms of the linearized AC power flow and for the log-domain radiation link.
 The second is exact MILP gadgets: binary-continuous products, switched DC
-flow, flow magnitude, the max(1,|.|) clamp, forced-convection branch
-selection and convex square support cuts.  Gadget builders are pure in the
-sense that they only append to the model they are handed and report exactly
-what they added as a :class:`~gridxpand.ir.GadgetFragment`.
+flow and convex square support cuts.  Gadget builders only append to the
+model they are handed and return the output variable and the bound
+constants they used as a :class:`~gridxpand.ir.GadgetFragment`.
 
 Error certificates
 ------------------
@@ -22,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .ir import BINARY, CONTINUOUS, EQ, GE, LE, GadgetFragment, ModelIR
+from .ir import BINARY, CONTINUOUS, GE, LE, GadgetFragment, ModelIR
 
 DEFAULT_CERT_GRID = 20001
 TRIG_HALF_RANGE = 0.6
@@ -141,7 +140,6 @@ class CosSelection:
     side_times_x: int
     coeffs: dict[int, float]
     constant: float
-    fragment: GadgetFragment
 
 
 @dataclass(frozen=True)
@@ -177,21 +175,16 @@ class TrigSegments:
         """
         h = self.half_range
         side = ir.add_variable(f"{tag}.cos_side", BINARY)
-        r1 = ir.add_row(f"{tag}.cos_window_hi", {x: 1.0, side: -h}, LE, 0.0)
-        r2 = ir.add_row(f"{tag}.cos_window_lo", {x: 1.0, side: -h}, GE, -h)
+        ir.add_row(f"{tag}.cos_window_hi", {x: 1.0, side: -h}, LE, 0.0)
+        ir.add_row(f"{tag}.cos_window_lo", {x: 1.0, side: -h}, GE, -h)
         prod = gadget_binary_product(ir, side, x, h, f"{tag}.cos_side_x")
         s1, m1 = self.cos_neg.slope, self.cos_neg.intercept
         s2, m2 = self.cos_pos.slope, self.cos_pos.intercept
         coeffs = {x: s1, prod.output: s2 - s1}
         if m2 != m1:
             coeffs[side] = m2 - m1
-        frag = GadgetFragment(
-            variables=(side,) + prod.variables,
-            rows=(r1, r2) + prod.rows,
-            output=side,
-            big_m={"window": h, **prod.big_m})
         return CosSelection(side=side, side_times_x=prod.output,
-                            coeffs=coeffs, constant=m1, fragment=frag)
+                            coeffs=coeffs, constant=m1)
 
 
 # Published coefficients for the +/-0.6 rad window.  These are the anchored
@@ -260,64 +253,13 @@ def gadget_binary_product(ir: ModelIR, binary: int, operand: int,
     ov = ir.variables[operand]
     theta = ir.add_variable(f"{tag}.prod", CONTINUOUS,
                             min(0.0, ov.lower), max(0.0, ov.upper))
-    rows = (
-        ir.add_row(f"{tag}.prod_lo", {theta: 1.0, binary: bound}, GE, 0.0),
-        ir.add_row(f"{tag}.prod_hi", {theta: 1.0, binary: -bound}, LE, 0.0),
-        ir.add_row(f"{tag}.prod_track_lo",
-                   {theta: 1.0, operand: -1.0, binary: -bound}, GE, -bound),
-        ir.add_row(f"{tag}.prod_track_hi",
-                   {theta: 1.0, operand: -1.0, binary: bound}, LE, bound),
-    )
-    return GadgetFragment(variables=(theta,), rows=rows, output=theta,
-                          big_m={"product_bound": bound})
-
-
-def gadget_max_one_abs(ir: ModelIR, operand: int, tag: str) -> GadgetFragment:
-    """Exact ``max(1, |delta|)`` through four selector binaries.
-
-    Two binaries pick the sign branch, two pick whether the magnitude or the
-    unit floor wins; the branch products are routed through
-    :func:`gadget_binary_product`.  The operand must have finite bounds.
-    """
-    ov = ir.variables[operand]
-    if not (math.isfinite(ov.lower) and math.isfinite(ov.upper)):
-        raise ValueError(f"{tag}: max(1,|.|) operand needs finite bounds")
-    mag = max(1.0, abs(ov.lower), abs(ov.upper))
-
-    floor_sel = ir.add_variable(f"{tag}.floor_sel", BINARY)     # 1 when result is 1
-    neg_sel = ir.add_variable(f"{tag}.neg_sel", BINARY)         # 1 when delta <= 0
-    pos_sel = ir.add_variable(f"{tag}.pos_sel", BINARY)         # 1 when delta >= 0
-    mag_sel = ir.add_variable(f"{tag}.mag_sel", BINARY)         # 1 when result is |delta|
-
-    p_neg = gadget_binary_product(ir, neg_sel, operand, mag, f"{tag}.neg")
-    p_pos = gadget_binary_product(ir, pos_sel, operand, mag, f"{tag}.pos")
-    inner = ir.add_variable(f"{tag}.abs_branch", CONTINUOUS, -mag, mag)
-    r_inner = ir.add_row(f"{tag}.abs_branch_def",
-                         {inner: 1.0, p_pos.output: -1.0, p_neg.output: 1.0},
-                         EQ, 0.0)
-    p_mag = gadget_binary_product(ir, mag_sel, inner, mag, f"{tag}.magside")
-    p_floor = gadget_binary_product(ir, floor_sel, inner, mag, f"{tag}.floorside")
-
-    out = ir.add_variable(f"{tag}.max1abs", CONTINUOUS, 1.0, mag)
-    rows = (
-        r_inner,
-        ir.add_row(f"{tag}.compose",
-                   {out: 1.0, floor_sel: -1.0, p_mag.output: -1.0}, EQ, 0.0),
-        ir.add_row(f"{tag}.pos_branch_sign", {p_pos.output: 1.0}, GE, 0.0),
-        ir.add_row(f"{tag}.neg_branch_sign", {p_neg.output: 1.0}, LE, 0.0),
-        ir.add_row(f"{tag}.mag_dominates",
-                   {p_mag.output: 1.0, mag_sel: -1.0}, GE, 0.0),
-        ir.add_row(f"{tag}.floor_dominates",
-                   {p_floor.output: 1.0, floor_sel: -1.0}, LE, 0.0),
-        ir.add_row(f"{tag}.one_sign", {neg_sel: 1.0, pos_sel: 1.0}, EQ, 1.0),
-        ir.add_row(f"{tag}.one_branch", {floor_sel: 1.0, mag_sel: 1.0}, EQ, 1.0),
-    )
-    variables = ((floor_sel, neg_sel, pos_sel, mag_sel, inner, out)
-                 + p_neg.variables + p_pos.variables
-                 + p_mag.variables + p_floor.variables)
-    all_rows = rows + p_neg.rows + p_pos.rows + p_mag.rows + p_floor.rows
-    return GadgetFragment(variables=variables, rows=all_rows, output=out,
-                          big_m={"operand_bound": mag})
+    ir.add_row(f"{tag}.prod_lo", {theta: 1.0, binary: bound}, GE, 0.0)
+    ir.add_row(f"{tag}.prod_hi", {theta: 1.0, binary: -bound}, LE, 0.0)
+    ir.add_row(f"{tag}.prod_track_lo",
+               {theta: 1.0, operand: -1.0, binary: -bound}, GE, -bound)
+    ir.add_row(f"{tag}.prod_track_hi",
+               {theta: 1.0, operand: -1.0, binary: bound}, LE, bound)
+    return GadgetFragment(output=theta, big_m={"product_bound": bound})
 
 
 def gadget_switched_dc_flow(ir: ModelIR, built: int, flow: int, susceptance: float,
@@ -336,73 +278,16 @@ def gadget_switched_dc_flow(ir: ModelIR, built: int, flow: int, susceptance: flo
     if flow_limit <= 0:
         raise ValueError(f"{tag}: flow limit must be > 0, got {flow_limit}")
     big_x = susceptance * window
-    rows = (
-        ir.add_row(f"{tag}.cap_hi", {flow: 1.0, built: -flow_limit}, LE, 0.0),
-        ir.add_row(f"{tag}.cap_lo", {flow: 1.0, built: flow_limit}, GE, 0.0),
-        ir.add_row(f"{tag}.ohm_hi",
-                   {flow: 1.0, angle_from: -susceptance, angle_to: susceptance,
-                    built: big_x}, LE, big_x),
-        ir.add_row(f"{tag}.ohm_lo",
-                   {flow: 1.0, angle_from: -susceptance, angle_to: susceptance,
-                    built: -big_x}, GE, -big_x),
-    )
-    return GadgetFragment(variables=(), rows=rows, output=flow,
+    ir.add_row(f"{tag}.cap_hi", {flow: 1.0, built: -flow_limit}, LE, 0.0)
+    ir.add_row(f"{tag}.cap_lo", {flow: 1.0, built: flow_limit}, GE, 0.0)
+    ir.add_row(f"{tag}.ohm_hi",
+               {flow: 1.0, angle_from: -susceptance, angle_to: susceptance,
+                built: big_x}, LE, big_x)
+    ir.add_row(f"{tag}.ohm_lo",
+               {flow: 1.0, angle_from: -susceptance, angle_to: susceptance,
+                built: -big_x}, GE, -big_x)
+    return GadgetFragment(output=flow,
                           big_m={"ohm_relax": big_x, "flow_limit": flow_limit})
-
-
-def gadget_flow_magnitude(ir: ModelIR, flow: int, bound: float,
-                          tag: str) -> GadgetFragment:
-    """Exact ``|pf|`` via a direction binary.
-
-    ``d = 1`` marks nonnegative flow.  With ``zeta = d * pf`` the magnitude
-    is the linear combination ``-pf + 2*zeta``.
-    """
-    if bound <= 0 or not math.isfinite(bound):
-        raise ValueError(f"{tag}: |pf| bound must be finite and > 0, got {bound}")
-    need = _operand_bound(ir, flow)
-    if need > bound * (1 + 1e-12):
-        raise ValueError(f"{tag}: flow bounds exceed certified bound "
-                         f"({need} > {bound})")
-    direction = ir.add_variable(f"{tag}.fwd", BINARY)
-    r1 = ir.add_row(f"{tag}.fwd_hi", {flow: 1.0, direction: -bound}, LE, 0.0)
-    r2 = ir.add_row(f"{tag}.fwd_lo", {flow: 1.0, direction: -bound}, GE, -bound)
-    prod = gadget_binary_product(ir, direction, flow, bound, f"{tag}.fwd_pf")
-    mag = ir.add_variable(f"{tag}.mag", CONTINUOUS, 0.0, bound)
-    r3 = ir.add_row(f"{tag}.mag_def",
-                    {mag: 1.0, flow: 1.0, prod.output: -2.0}, EQ, 0.0)
-    return GadgetFragment(
-        variables=(direction, mag) + prod.variables,
-        rows=(r1, r2, r3) + prod.rows,
-        output=mag,
-        big_m={"flow_bound": bound, **prod.big_m})
-
-
-def gadget_convection_select(ir: ModelIR, k_primary: float, k_secondary: float,
-                             q_primary: int, q_secondary: int, big_m: float,
-                             tag: str) -> GadgetFragment:
-    """Pick the governing forced-convection branch with one binary.
-
-    ``y = 1`` asserts the primary branch (film coefficient ``k_primary``)
-    dominates.  The parameter-only ordering rows force the right choice
-    whenever the two coefficients differ, and the big-M rows zero out the
-    losing branch variable.  On a coefficient tie either branch may carry
-    the heat.
-    """
-    if k_primary < 0 or k_secondary < 0:
-        raise ValueError(f"{tag}: film coefficients must be >= 0")
-    if big_m <= 0:
-        raise ValueError(f"{tag}: big_m must be > 0, got {big_m}")
-    y = ir.add_variable(f"{tag}.primary_wins", BINARY)
-    rows = (
-        ir.add_row(f"{tag}.k_order_hi", {y: k_secondary}, LE, k_primary),
-        ir.add_row(f"{tag}.k_order_lo", {y: -k_primary}, LE,
-                   k_secondary - k_primary),
-        ir.add_row(f"{tag}.gate_primary", {q_primary: 1.0, y: -big_m}, LE, 0.0),
-        ir.add_row(f"{tag}.gate_secondary", {q_secondary: 1.0, y: big_m}, LE,
-                   big_m),
-    )
-    return GadgetFragment(variables=(y,), rows=rows, output=y,
-                          big_m={"branch_gate": big_m})
 
 
 def gadget_square_cuts(ir: ModelIR, operand: int, upper: float, n_cuts: int,
@@ -427,12 +312,10 @@ def gadget_square_cuts(ir: ModelIR, operand: int, upper: float, n_cuts: int,
                          f"({ov.upper} > {upper})")
     w = ir.add_variable(f"{tag}.sq", CONTINUOUS, 0.0, upper * upper)
     points = np.linspace(0.0, upper, n_cuts)
-    rows = []
     for k, x_k in enumerate(points):
-        rows.append(ir.add_row(f"{tag}.sq_cut{k}",
-                               {w: 1.0, operand: -2.0 * float(x_k)}, GE,
-                               -float(x_k) * float(x_k)))
+        ir.add_row(f"{tag}.sq_cut{k}", {w: 1.0, operand: -2.0 * float(x_k)},
+                   GE, -float(x_k) * float(x_k))
     spacing = upper / (n_cuts - 1)
     gap = (spacing / 2.0) ** 2
-    return GadgetFragment(variables=(w,), rows=tuple(rows), output=w,
+    return GadgetFragment(output=w,
                           big_m={"square_gap": gap, "cut_range": upper})

@@ -18,8 +18,12 @@ models with more free binaries than the enumeration cap.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -173,13 +177,48 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     matrix = sp.csc_array((data, (rows_ix, cols_ix)), shape=(len(ir.rows), n))
 
     run = _run_highs if _highs is not None else _run_milp
-    try:
-        fields = run(cost, matrix, row_lo, row_hi, lower, upper, integrality,
-                     config, start)
-    except Exception as exc:  # malformed input surfaced by HiGHS or scipy
-        raise SolverError(f"external solver rejected the model: {exc}") from exc
+    with _stdout_to_stderr():
+        try:
+            fields = run(cost, matrix, row_lo, row_hi, lower, upper,
+                         integrality, config, start)
+        except Exception as exc:  # malformed input surfaced by HiGHS or scipy
+            raise SolverError(
+                f"external solver rejected the model: {exc}") from exc
     return Solution(runtime=time.perf_counter() - t0, backend="external",
                     **fields)
+
+
+_redirect_lock = threading.Lock()
+_redirect_depth = 0
+_saved_stdout_fd = -1
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at file descriptor 2 while HiGHS runs.
+
+    HiGHS 1.12 prints some MIP messages (for example
+    ``HighsMipSolverData::transformNewIntegerFeasibleSolution``) straight to
+    stdout, past ``log_to_console`` and ``output_flag``.  Redirecting the
+    descriptor keeps them out of a program's own output.  Overlapping
+    solves in several threads share one redirect; the last one out
+    restores stdout.
+    """
+    global _redirect_depth, _saved_stdout_fd
+    with _redirect_lock:
+        if _redirect_depth == 0:
+            sys.stdout.flush()
+            _saved_stdout_fd = os.dup(1)
+            os.dup2(2, 1)
+        _redirect_depth += 1
+    try:
+        yield
+    finally:
+        with _redirect_lock:
+            _redirect_depth -= 1
+            if _redirect_depth == 0:
+                os.dup2(_saved_stdout_fd, 1)
+                os.close(_saved_stdout_fd)
 
 
 def _run_highs(cost, matrix, row_lo, row_hi, lower, upper, integrality,

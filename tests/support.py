@@ -4,23 +4,26 @@ The gadget probes all follow the same pattern: build a minimal model with
 the inputs pinned, then push the gadget's output down and up with two
 oracle solves.  An exact gadget leaves no room — both probes land on the
 direct nonlinear value — so any daylight between min and max, or between
-either probe and the hand-evaluated definition, is a mismatch.
+either probe and the hand-evaluated definition, is a mismatch.  The
+convection probe only pushes up: its cap row is the column's one bound
+from above.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 
-from gridxpand import (BusSpec, CaseSystem, ConductorSpec, GeneratorSpec,
-                       LineSpec, ModelIR, PeriodSpec, RobustParams,
-                       SolveConfig, WeatherRecord, oracle_solve)
-from gridxpand.ir import BINARY, CONTINUOUS, EQ, LE
-from gridxpand.linearize import (gadget_binary_product,
-                                 gadget_convection_select,
-                                 gadget_flow_magnitude, gadget_max_one_abs,
-                                 gadget_switched_dc_flow)
+from gridxpand import (BusSpec, CaseSystem, ConductorSpec, ConvectionCoeffs,
+                       GeneratorSpec, LineSpec, ModelIR, PeriodSpec,
+                       RobustParams, SolveConfig, WeatherRecord, build_igtep,
+                       oracle_solve)
+from gridxpand import builder
+from gridxpand.ir import BINARY, CONTINUOUS, EQ
+from gridxpand.linearize import gadget_binary_product, gadget_switched_dc_flow
 
 PROBE_TOL = 1e-7
 
@@ -212,40 +215,6 @@ def scan_binary_product(rng: np.random.Generator, n: int) -> list[str]:
     return bad
 
 
-def scan_max_one_abs(rng: np.random.Generator, n: int) -> list[str]:
-    bad: list[str] = []
-    for k in range(n):
-        hi = float(rng.uniform(0.2, 6.0))
-        lo = -float(rng.uniform(0.2, 6.0))
-        # Visit the kink at |delta| = 1 now and then.
-        delta = (float(rng.choice((-1.0, 1.0))) if rng.random() < 0.15
-                 else float(rng.uniform(lo, hi)))
-        delta = min(max(delta, lo), hi)
-        ir = ModelIR()
-        dv = ir.add_variable("delta", CONTINUOUS, lo, hi)
-        ir.add_row("pin", {dv: 1.0}, EQ, delta)
-        frag = gadget_max_one_abs(ir, dv, "g")
-        _check_pinned(bad, f"max1abs #{k} (delta={delta:.4f})",
-                      minmax_output(ir, frag.output), max(1.0, abs(delta)))
-    return bad
-
-
-def scan_flow_magnitude(rng: np.random.Generator, n: int) -> list[str]:
-    bad: list[str] = []
-    for k in range(n):
-        bound = float(rng.uniform(0.3, 5.0))
-        flow = float(rng.uniform(-bound, bound))
-        if rng.random() < 0.1:
-            flow = 0.0
-        ir = ModelIR()
-        fv = ir.add_variable("pf", CONTINUOUS, -bound, bound)
-        ir.add_row("pin", {fv: 1.0}, EQ, flow)
-        frag = gadget_flow_magnitude(ir, fv, bound, "g")
-        _check_pinned(bad, f"|pf| #{k} (pf={flow:.4f})",
-                      minmax_output(ir, frag.output), abs(flow))
-    return bad
-
-
 def scan_switched_dc_flow(rng: np.random.Generator, n: int) -> list[str]:
     """pf must equal u * beta * (a_s - a_r) for every pinned input."""
     bad: list[str] = []
@@ -270,50 +239,45 @@ def scan_switched_dc_flow(rng: np.random.Generator, n: int) -> list[str]:
     return bad
 
 
-def scan_convection_select(rng: np.random.Generator, n: int) -> list[str]:
-    """Selector must hand all heat to the governing branch.
+def scan_governing_convection(rng: np.random.Generator, n: int) -> list[str]:
+    """The built convection column must carry the governing branch's heat.
 
-    Each instance caps the two branch variables at their film-law values
-    ``k * dT`` and maximizes total convection; the gadget must allow exactly
-    ``max(k1, k2) * dT`` — the value of the explicit max formulation
-    ``y*Q1 + (1-y)*Q2`` with the ordering deciding ``y`` — while the losing
-    branch stays gated at zero.
+    Each instance patches the builder's ``line_convection`` to hand out a
+    drawn pair of film coefficients (ties and pairs where ``k''`` wins
+    included), builds the thermal toy, pins every binary and the
+    temperature of line ``E`` and maximizes ``conv[E,p1]``.  The robust cap
+    must allow exactly ``(1 - phi*omega) * max(k', k'') * (T - T_env) + mu``.
     """
+    params = STANDARD_ROBUST
+    # At 40 MW the candidate unit alone covers the demand, so the existing
+    # line may run cold and the heat balance never caps the convection.
+    case = toy_case(peak=40.0)
+    t_env = DEFAULT_WEATHER.ambient_temp
+    pins = {"build[L]": 0.0, "unit[U1]": 1.0,
+            "trig[E,p1].cos_side": 1.0, "trig[L,p1].cos_side": 1.0}
     bad: list[str] = []
     for k in range(n):
-        k1 = float(rng.uniform(0.0, 5.0))
-        k2 = k1 if rng.random() < 0.1 else float(rng.uniform(0.0, 5.0))
-        dt = float(rng.uniform(1.0, 60.0))
-        big_m = (max(k1, k2) + 1.0) * dt * 1.2 + 1.0
-        ir = ModelIR()
-        q1 = ir.add_variable("q1", CONTINUOUS, 0.0, big_m)
-        q2 = ir.add_variable("q2", CONTINUOUS, 0.0, big_m)
-        ir.add_row("law1", {q1: 1.0}, LE, k1 * dt)
-        ir.add_row("law2", {q2: 1.0}, LE, k2 * dt)
-        frag = gadget_convection_select(ir, k1, k2, q1, q2, big_m, "g")
-
-        label = f"convsel #{k} (k1={k1:.3f}, k2={k2:.3f}, dT={dt:.2f})"
-        best = probe(ir, {q1: -1.0, q2: -1.0})
+        k1 = float(rng.uniform(0.5, 5.0))
+        k2 = k1 if rng.random() < 0.15 else float(rng.uniform(0.5, 5.0))
+        temp = float(rng.uniform(t_env + 40.0, case.line("E").t_max))
+        coeffs = ConvectionCoeffs(k_prime=k1, k_double_prime=k2, reynolds=0.0)
+        with mock.patch.object(builder, "line_convection",
+                               lambda conductor, weather: coeffs):
+            ir, _ = build_igtep(case, params, "dtlr_robust")
+        for name, value in {**pins, "temp[E,p1]": temp}.items():
+            v = ir.variable(name)
+            ir.variables[v.index] = dataclasses.replace(v, lower=value,
+                                                        upper=value)
+        label = f"conv #{k} (k'={k1:.3f}, k''={k2:.3f}, T={temp:.2f})"
+        best = probe(ir, {ir.variable("conv[E,p1]").index: -1.0})
         if not best.is_optimal:
             bad.append(f"{label}: max-heat probe {best.status}")
             continue
-        y = 1.0 if k1 >= k2 else 0.0
-        direct = y * (k1 * dt) + (1.0 - y) * (k2 * dt)   # = max(k1, k2) * dT
+        want = ((1.0 - params.phi * params.omega) * max(k1, k2)
+                * (temp - t_env) + params.mu)
         got = -best.objective
-        scale = 1.0 + abs(direct)
-        if abs(got - direct) > PROBE_TOL * scale:
-            bad.append(f"{label}: passes {got}, max formulation gives {direct}")
-            continue
-        if k1 != k2:
-            y_got = best.values[frag.output]
-            if abs(y_got - y) > 1e-9:
-                bad.append(f"{label}: selector {y_got}, ordering demands {y}")
-                continue
-            loser = q2 if k1 > k2 else q1
-            top = probe(ir, {loser: -1.0})
-            if not top.is_optimal or -top.objective > PROBE_TOL * scale:
-                bad.append(f"{label}: losing branch passes "
-                           f"{-top.objective if top.is_optimal else top.status}")
+        if abs(got - want) > PROBE_TOL * (1.0 + abs(want)):
+            bad.append(f"{label}: passes {got}, governing branch gives {want}")
     return bad
 
 

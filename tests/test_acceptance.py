@@ -22,8 +22,7 @@ from gridxpand import (RobustParams, SolveConfig, SweepSpec, ampacity,
                        steady_state_temperature, trig_segments, WeatherRecord)
 from support import (DEFAULT_CONDUCTOR, assert_row_equivalent,
                      random_instance, scan_binary_product,
-                     scan_convection_select, scan_flow_magnitude,
-                     scan_max_one_abs, scan_switched_dc_flow)
+                     scan_governing_convection, scan_switched_dc_flow)
 
 R_PER_M = 2.0e-4
 
@@ -95,18 +94,17 @@ def test_criterion_3_gadget_exactness():
     start = time.perf_counter()
     n = 60
     mismatches = []
-    mismatches += scan_max_one_abs(np.random.default_rng(9301), n)
     mismatches += scan_binary_product(np.random.default_rng(9302), n)
-    mismatches += scan_flow_magnitude(np.random.default_rng(9303), n)
     mismatches += scan_switched_dc_flow(np.random.default_rng(9304), n)
-    mismatches += scan_convection_select(np.random.default_rng(9305), n)
+    mismatches += scan_governing_convection(np.random.default_rng(9305), n)
     elapsed = time.perf_counter() - start
 
     ok = not mismatches and elapsed < 60.0
     line = report(ok, 3, "MILP gadget exactness",
-                  f"{len(mismatches)} mismatches over 5x{n} enumeration "
-                  f"probes incl. explicit max-form convection oracle "
-                  f"(tol {support.PROBE_TOL:g}), {elapsed:.2f}s (<60s)")
+                  f"{len(mismatches)} mismatches over 3x{n} enumeration "
+                  f"probes incl. governing-branch convection through "
+                  f"build_igtep (tol {support.PROBE_TOL:g}), "
+                  f"{elapsed:.2f}s (<60s)")
     assert ok, line
     assert mismatches == []
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gridxpand import (RobustParams, SolveConfig, build_igtep, extract_plan,
@@ -12,7 +13,8 @@ from gridxpand import (RobustParams, SolveConfig, build_igtep, extract_plan,
 from gridxpand.builder import MODES, reference_bus
 from gridxpand.errors import ExtractionError, ModelBuildError
 from gridxpand.ir import EQ, GE
-from support import (STANDARD_ROBUST, assert_row_equivalent, toy_case,
+from support import (STANDARD_ROBUST, assert_row_equivalent,
+                     scan_governing_convection, toy_case,
                      toy_dc_det_objective, toy_robust_objective)
 
 ZERO_PROTECTION = RobustParams(phi=0.0, mu=0.0, reliability=0.05)
@@ -75,6 +77,18 @@ class TestBuildErrors:
         with pytest.raises(ModelBuildError, match="fails validation"):
             build_igtep(dataclasses.replace(case, buses=buses), None, "dc_det")
 
+    def test_t_max_at_or_below_coldest_ambient_rejected(self):
+        case = toy_case()   # ambient 298 K on both lines
+        lines = tuple(dataclasses.replace(c, t_max=298.0) for c in case.lines)
+        with pytest.raises(ModelBuildError, match="coldest ambient"):
+            build_igtep(dataclasses.replace(case, lines=lines),
+                        STANDARD_ROBUST, "dtlr_robust")
+        # one line rated above the coldest ambient is enough
+        lines = (lines[0], dataclasses.replace(lines[1], t_max=299.0))
+        ir, _ = build_igtep(dataclasses.replace(case, lines=lines),
+                            STANDARD_ROBUST, "dtlr_robust")
+        assert ir.num_variables > 0
+
     def test_excessive_uncertainty_rejected(self):
         params = RobustParams(phi=0.7, mu=0.01, reliability=0.05)
         with pytest.raises(ModelBuildError, match="convection caps"):
@@ -86,9 +100,25 @@ class TestModelShape:
         case = toy_case()
         for mode, params, expected in (("dc_det", None, 2),
                                        ("dc_robust", STANDARD_ROBUST, 2),
-                                       ("dtlr_robust", STANDARD_ROBUST, 6)):
+                                       ("dtlr_robust", STANDARD_ROBUST, 4)):
             ir, _ = build_igtep(case, params, mode)
             assert len(ir.free_binaries()) == expected, mode
+
+    @pytest.mark.parametrize("case_name, shape", [
+        ("six_bus", (897, 3495, 100)),
+        ("rts24", (2542, 9230, 256)),
+    ])
+    def test_shipped_thermal_model_shape(self, request, case_name, shape):
+        """Columns, rows and free binaries of the shipped thermal models.
+
+        Per line and period: one convection column and one cap row; the
+        branch is fixed at build time, so no binary picks it.
+        """
+        case = request.getfixturevalue(case_name)
+        params = request.getfixturevalue(f"{case_name}_scenario").robust
+        ir, _ = build_igtep(case, params, "dtlr_robust")
+        assert (ir.num_variables, ir.num_rows,
+                len(ir.free_binaries())) == shape
 
     def test_metadata_records_mode_and_big_m(self):
         ir, _ = build_igtep(toy_case(), None, "dc_det")
@@ -239,6 +269,10 @@ class TestThermalPlans:
         plan, _, _, _ = solved_plan(case, None, "dc_det")
         with pytest.raises(ExtractionError, match="dtlr_robust"):
             hbe_residual_audit(plan, case)
+
+    def test_convection_column_carries_governing_branch(self):
+        bad = scan_governing_convection(np.random.default_rng(105), 12)
+        assert bad == []
 
     def test_oracle_confirms_external_on_thermal_toy(self):
         case = toy_case()

@@ -20,10 +20,8 @@ import support
 from gridxpand import (ModelIR, Segment, certify_segment, fit_line_minimax,
                        trig_segments)
 from gridxpand.ir import BINARY, CONTINUOUS, EQ
-from gridxpand.linearize import (gadget_binary_product,
-                                 gadget_convection_select,
-                                 gadget_flow_magnitude, gadget_max_one_abs,
-                                 gadget_square_cuts, gadget_switched_dc_flow)
+from gridxpand.linearize import (gadget_binary_product, gadget_square_cuts,
+                                 gadget_switched_dc_flow)
 
 
 def chord_minimax_error(f, lo: float, hi: float, n: int = 200001) -> float:
@@ -206,30 +204,6 @@ class TestGadgetBinaryProduct:
             gadget_binary_product(ir, y, d, bound, "g")
 
 
-class TestGadgetMaxOneAbs:
-    def test_scan(self):
-        bad = support.scan_max_one_abs(np.random.default_rng(102), 12)
-        assert bad == []
-
-    def test_requires_finite_bounds(self):
-        ir = ModelIR()
-        d = ir.add_variable("d", CONTINUOUS)
-        with pytest.raises(ValueError, match="finite"):
-            gadget_max_one_abs(ir, d, "g")
-
-
-class TestGadgetFlowMagnitude:
-    def test_scan(self):
-        bad = support.scan_flow_magnitude(np.random.default_rng(103), 12)
-        assert bad == []
-
-    def test_rejects_undersized_bound(self):
-        ir = ModelIR()
-        pf = ir.add_variable("pf", CONTINUOUS, -3.0, 3.0)
-        with pytest.raises(ValueError, match="exceed"):
-            gadget_flow_magnitude(ir, pf, 2.0, "g")
-
-
 class TestGadgetSwitchedDcFlow:
     def test_scan(self):
         bad = support.scan_switched_dc_flow(np.random.default_rng(104), 12)
@@ -245,21 +219,6 @@ class TestGadgetSwitchedDcFlow:
             gadget_switched_dc_flow(ir, u, pf, 0.0, a, b, 1.0, "g")
         with pytest.raises(ValueError, match="limit"):
             gadget_switched_dc_flow(ir, u, pf, 2.0, a, b, 0.0, "g")
-
-
-class TestGadgetConvectionSelect:
-    def test_scan(self):
-        bad = support.scan_convection_select(np.random.default_rng(105), 12)
-        assert bad == []
-
-    def test_parameter_validation(self):
-        ir = ModelIR()
-        q1 = ir.add_variable("q1", CONTINUOUS, 0.0, 10.0)
-        q2 = ir.add_variable("q2", CONTINUOUS, 0.0, 10.0)
-        with pytest.raises(ValueError, match=">= 0"):
-            gadget_convection_select(ir, -1.0, 1.0, q1, q2, 10.0, "g")
-        with pytest.raises(ValueError, match="big_m"):
-            gadget_convection_select(ir, 1.0, 1.0, q1, q2, 0.0, "g")
 
 
 class TestGadgetSquareCuts:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
@@ -15,6 +16,9 @@ from support import (STANDARD_ROBUST, random_instance, toy_case,
                      toy_dc_det_objective, toy_robust_objective)
 
 FAST = SolveConfig(time_limit=60.0)
+
+# The package re-exports the function ``solve``, which shadows the module.
+solve_module = importlib.import_module("gridxpand.solve")
 
 
 class TestRunPlan:
@@ -106,6 +110,21 @@ class TestSeededThermalRuns:
         assert plan.audit["solver"]["seeded"] is True
         assert plan.added_lines == ()
         assert plan.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+class TestQuietSolves:
+    @pytest.mark.parametrize("binding", ["highs", "milp"])
+    def test_no_solver_output_on_stdout(self, binding, capfd, monkeypatch):
+        """HiGHS prints a raw MIP message while solving this draw."""
+        if binding == "milp":
+            monkeypatch.setattr(solve_module, "_highs", None)
+        rng = np.random.default_rng(778899)
+        draws = [random_instance(rng) for _ in range(22)]
+        case, params, mode = draws[21]
+        assert mode == "dtlr_robust"
+        plan = run_plan(case, params, mode, FAST)
+        assert plan.status == "optimal"
+        assert capfd.readouterr().out == ""
 
 
 class TestPlanDocument:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -363,6 +367,33 @@ class TestHighsBinding:
         assert external_solve(ir).objective == pytest.approx(0.0)
         ir.add_row("cap", {x: 1.0}, GE, 2.0)
         assert external_solve(ir).status == INFEASIBLE
+
+
+class TestStdoutRedirect:
+    def test_overlapping_threads_share_one_redirect(self):
+        """Inside every overlapping solve fd 1 is fd 2; after all, stdout."""
+        before = os.fstat(1)
+        seen: list[bool] = []
+
+        def worker():
+            for _ in range(200):
+                with solve_module._stdout_to_stderr():
+                    time.sleep(0)   # let another thread enter or leave
+                    seen.append(os.path.samestat(os.fstat(1), os.fstat(2)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 200 and all(seen)
+        assert os.path.samestat(os.fstat(1), before)
 
 
 class TestOracleSolve:
