@@ -141,8 +141,18 @@ def plan_document(plan: PlanResult) -> dict:
 
 
 def plan_table(plan: PlanResult) -> str:
+    """Plain-text summary of a plan.
+
+    A ``limit`` plan is an incumbent, not an optimum, so its table states
+    the proven gap from ``plan.audit["solver"]`` (``unknown`` when the
+    backend reports none, as the oracle does).
+    """
     lines = [f"mode:       {plan.mode}",
              f"status:     {plan.status}"]
+    if plan.status == "limit":
+        gap = plan.audit.get("solver", {}).get("mip_gap")
+        lines.append("proven gap: "
+                     + ("unknown" if gap is None else f"{gap:.2e}"))
     if plan.has_plan:
         lines += [
             f"added lines: {', '.join(plan.added_lines) or '-'}",
@@ -221,12 +231,16 @@ def run_sweep(case: CaseSystem, params: RobustParams | None, spec: SweepSpec,
 
 
 def sweep_table(rows: list[dict]) -> str:
+    """Plain-text cost table; a cost that is not a proven optimum (a
+    ``limit`` incumbent) carries its status, as in ``31.039 limit``."""
     header = (f"{'Peak MW':>8}  {'Mode':<12} {'Added lines':<22} "
               f"{'Added units':<26} {'N':>3}  {'Cost ($x10^7)':>13}")
     out = [header, "-" * len(header)]
     for row in rows:
         if row["objective"] is not None:
             cost = f"{row['objective'] / DISPLAY_COST_UNIT:.3f}"
+            if row["status"] != "optimal":
+                cost += f" {row['status']}"
         elif row["status"] == "infeasible":
             cost = "Infeasible"
         else:

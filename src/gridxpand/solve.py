@@ -7,13 +7,23 @@ start (``setSolution``); the runner seeds thermal solves through it.  The
 module is private to scipy, so it is imported behind a guard: when it is
 missing, the backend falls back to :func:`scipy.optimize.milp` and ignores
 the start.  Both paths report the proven gap, the dual bound and the node
-count.  A start is only an incumbent and never changes the optimum.  The
-``oracle`` backend is deliberately independent of it: every assignment of
-the free binaries is enumerated and the remaining linear program is solved
-by a small two-phase dense simplex written here, with no third-party
-optimization code on the path.  Agreement between the two is part of the
-test battery, so the oracle favours transparency over speed and refuses
-models with more free binaries than the enumeration cap.
+count.  A start is only an incumbent and never changes the optimum.
+
+The ``oracle`` backend is deliberately independent of HiGHS: it uses numpy
+and nothing else.  It enumerates every assignment of the free binaries and
+solves each remaining linear program with a small dense simplex written
+here.  The model is put in standard form once per call, with the binaries
+as constants, so only the right-hand side changes between assignments.
+Until one of them has a feasible LP, each is solved from scratch by a
+two-phase primal simplex; after that, each starts from the last optimal
+basis, which stays dual feasible, and runs dual simplex pivots.  No warm
+answer is taken on trust: an optimum must be feasible in the model's rows
+and bounds and priced optimal by its basis's duals, and an infeasibility
+must come with a Farkas certificate, both checked against the original
+arrays.  An answer that fails its check is solved again from scratch.
+Agreement between the two backends is part of the test battery, so the
+oracle favours transparency over speed and refuses models with more free
+binaries than the enumeration cap.
 """
 
 from __future__ import annotations
@@ -55,8 +65,16 @@ _HIGHS_STATUS = {"kOptimal": OPTIMAL, "kTimeLimit": LIMIT,
                  "kInfeasible": INFEASIBLE, "kModelError": INFEASIBLE,
                  "kUnbounded": UNBOUNDED}
 
-_EPS = 1e-9
+_EPS = 1e-9                  # pivot and pricing tolerance
 _BLAND_TRIGGER = 30          # consecutive degenerate pivots before Bland's rule
+_PHASE1_TOL = 1e-7           # phase-1 residual (relative to |b|) = infeasible
+# Tolerances of the certificates of warm answers, relative to the size of
+# the terms summed.  Reduced costs get the looser one: recomputed from B^-1
+# they carry its rounding, up to 2.4e-8 of their scale on small planning
+# models, where row residuals stay below 1e-12 and duality gaps below 1e-14.
+_CERT_TOL = 1e-9             # row residuals, duality gap, Farkas row sums
+_CERT_DUAL_TOL = 1e-7        # reduced costs
+_DIRECTION = {LE: 1.0, GE: -1.0, EQ: 0.0}   # row senses in the dense forms
 
 
 @dataclass(frozen=True)
@@ -155,10 +173,7 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     for idx, coef in ir.objective.items():
         cost[idx] = coef
     integrality = np.array([1 if v.kind == BINARY else 0 for v in ir.variables])
-    lower = np.array([v.lower for v in ir.variables])
-    upper = np.array([v.upper for v in ir.variables])
-    for idx, (lo, hi) in (bounds_override or {}).items():
-        lower[idx], upper[idx] = lo, hi
+    lower, upper = _bounds(ir, bounds_override)
 
     data, rows_ix, cols_ix = [], [], []
     row_lo = np.empty(len(ir.rows))
@@ -301,10 +316,16 @@ def _run_milp(cost, matrix, row_lo, row_hi, lower, upper, integrality,
 def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
     """Exact reference solve by enumerating free binaries.
 
-    Every assignment fixes the binaries through bound overrides and the
-    residual LP goes to :func:`simplex_lp`.  Any unbounded assignment makes
-    the whole model unbounded; otherwise the best finite optimum wins and
-    infeasibility means no assignment admitted a feasible LP.
+    The model becomes one :class:`_StandardForm` per call, with the free
+    binaries as constants, so an assignment changes only the right-hand
+    side.  Until some assignment has a feasible LP, each is solved cold by
+    the two-phase simplex; after that, each starts from the last optimal
+    basis and runs dual simplex pivots (:func:`_dual_simplex`).  A warm
+    answer counts only with a certificate checked against the form's
+    arrays; otherwise that assignment is solved cold.  Any unbounded
+    assignment makes the whole model unbounded; otherwise the best finite
+    optimum wins and infeasibility means no assignment admitted a feasible
+    LP.  ``ir.objective`` is read at every call.
     """
     config = config if config is not None else SolveConfig(backend="oracle")
     start = time.perf_counter()
@@ -314,17 +335,22 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
             f"{len(free)} free binaries exceed the enumeration cap "
             f"{config.binary_enumeration_cap}; use the external backend")
 
+    form = _StandardForm(ir, *_bounds(ir, None),
+                         pinned=[v.index for v in free])
+    warm = None
     best_obj = math.inf
     best_x = None
     timed_out = False
     for bits in itertools.product((0.0, 1.0), repeat=len(free)):
-        override = {v.index: (b, b) for v, b in zip(free, bits)}
-        status, objective, x = simplex_lp(ir, bounds_override=override)
+        status, y, warm = _assignment(form, np.array(bits), warm)
         if status == UNBOUNDED:
             return Solution(UNBOUNDED, None, None,
                             time.perf_counter() - start, "oracle")
-        if status == OPTIMAL and objective < best_obj:
-            best_obj, best_x = objective, x
+        if status == OPTIMAL:
+            x = form.point(y, bits)
+            objective = float(form.model_cost @ x)
+            if objective < best_obj:
+                best_obj, best_x = objective, x
         if time.perf_counter() - start > config.time_limit:
             timed_out = True
             break
@@ -340,170 +366,216 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
                     message="incumbent at time limit" if timed_out else "")
 
 
-# LP standard-form transforms, one per model variable:
-_CONST = "const"      # fixed value, substituted out
-_SHIFT = "shift"      # x = lo + y,      y >= 0
-_MIRROR = "mirror"    # x = hi - y,      y >= 0
-_SPLIT = "split"      # x = y_pos - y_neg
-
-
 def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
                | None = None) -> tuple[str, float | None, np.ndarray | None]:
     """Solve the model's LP with optional bound overrides, from scratch.
 
-    Hand-rolled two-phase dense simplex: variables are shifted, mirrored or
-    split into nonnegative columns, rows gain slack/surplus/artificial
-    columns, Dantzig pricing runs until a degeneracy streak switches to
-    Bland's rule, and a pivot cap guards against cycling.  Returns
-    ``(status, objective, x)`` with ``x`` covering all model variables.
+    Hand-rolled two-phase dense simplex on the model's
+    :class:`_StandardForm`, with no third-party optimization code on the
+    path: rows gain slack/surplus/artificial columns, Dantzig pricing runs
+    until a degeneracy streak switches to Bland's rule, and a pivot cap
+    guards against cycling.  Un-pinned binaries take their relaxed box.
+    Returns ``(status, objective, x)`` with ``x`` covering all model
+    variables.
     """
-    override = bounds_override if bounds_override is not None else {}
+    lower, upper = _bounds(ir, bounds_override)
+    if np.any(lower > upper):
+        return INFEASIBLE, None, None
+    form = _StandardForm(ir, lower, upper, pinned=[])
+    bits = np.zeros(0)
+    status, y, _ = _assignment(form, bits, None)
+    if status != OPTIMAL:
+        return status, None, None
+    x = form.point(y, bits)
+    return OPTIMAL, float(form.model_cost @ x), x
 
-    transforms: list[tuple] = []
-    n_cols = 0
-    width_rows: list[tuple[int, float]] = []   # (column, upper width)
-    for v in ir.variables:
-        lo, hi = override.get(v.index, (v.lower, v.upper))
-        if lo > hi:
-            return INFEASIBLE, None, None
-        if lo == hi:
-            transforms.append((_CONST, lo))
-        elif math.isfinite(lo):
-            transforms.append((_SHIFT, n_cols, lo))
-            if math.isfinite(hi):
-                width_rows.append((n_cols, hi - lo))
-            n_cols += 1
-        elif math.isfinite(hi):
-            transforms.append((_MIRROR, n_cols, hi))
-            n_cols += 1
-        else:
-            transforms.append((_SPLIT, n_cols, n_cols + 1))
-            n_cols += 2
 
-    # Rows in the y-space, rhs adjusted for substituted constants.
-    work_rows: list[tuple[dict[int, float], str, float]] = []
-    for row in ir.rows:
-        coeffs: dict[int, float] = {}
-        rhs = row.rhs
-        for idx, a in row.coeffs.items():
-            tr = transforms[idx]
-            if tr[0] == _CONST:
-                rhs -= a * tr[1]
-            elif tr[0] == _SHIFT:
-                coeffs[tr[1]] = coeffs.get(tr[1], 0.0) + a
-                rhs -= a * tr[2]
-            elif tr[0] == _MIRROR:
-                coeffs[tr[1]] = coeffs.get(tr[1], 0.0) - a
-                rhs -= a * tr[2]
-            else:
-                coeffs[tr[1]] = coeffs.get(tr[1], 0.0) + a
-                coeffs[tr[2]] = coeffs.get(tr[2], 0.0) - a
-        coeffs = {j: a for j, a in coeffs.items() if a != 0.0}
-        if not coeffs:
-            tol = 1e-9 * (1.0 + abs(row.rhs))
-            sat = (rhs >= -tol if row.sense == LE
-                   else rhs <= tol if row.sense == GE
-                   else abs(rhs) <= tol)
-            if not sat:
-                return INFEASIBLE, None, None
-            continue
-        work_rows.append((coeffs, row.sense, rhs))
-    for col, width in width_rows:
-        work_rows.append(({col: 1.0}, LE, width))
+def _bounds(ir: ModelIR, override: dict[int, tuple[float, float]] | None):
+    """Arrays of variable bounds, with ``override``'s entries replaced."""
+    lower = np.array([v.lower for v in ir.variables], dtype=float)
+    upper = np.array([v.upper for v in ir.variables], dtype=float)
+    for idx, (lo, hi) in (override or {}).items():
+        lower[idx], upper[idx] = lo, hi
+    return lower, upper
 
-    # Objective in y-space.
-    obj_const = 0.0
-    obj_y = np.zeros(n_cols)
-    for idx, coef in ir.objective.items():
-        tr = transforms[idx]
-        if tr[0] == _CONST:
-            obj_const += coef * tr[1]
-        elif tr[0] == _SHIFT:
-            obj_y[tr[1]] += coef
-            obj_const += coef * tr[2]
-        elif tr[0] == _MIRROR:
-            obj_y[tr[1]] -= coef
-            obj_const += coef * tr[2]
-        else:
-            obj_y[tr[1]] += coef
-            obj_y[tr[2]] -= coef
 
-    def reconstruct(y: np.ndarray) -> np.ndarray:
-        x = np.empty(len(ir.variables))
-        for i, tr in enumerate(transforms):
-            if tr[0] == _CONST:
-                x[i] = tr[1]
-            elif tr[0] == _SHIFT:
-                x[i] = tr[2] + y[tr[1]]
-            elif tr[0] == _MIRROR:
-                x[i] = tr[2] - y[tr[1]]
-            else:
-                x[i] = y[tr[1]] - y[tr[2]]
+def _violation(direction: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """How far ``rhs - activity`` (``slack``) breaks each row's sense."""
+    return np.where(direction == 0.0, np.abs(slack), -direction * slack)
+
+
+class _StandardForm:
+    """A model's LP as dense arrays over nonnegative columns ``y``.
+
+    Variables whose bounds meet, and the ``pinned`` ones, are constants and
+    leave the matrix.  The rest are shifted (``x = lo + y``), mirrored
+    (``x = hi - y``) or split (``x = y+ - y-``), and each shifted variable
+    with a finite width gets a row ``y <= hi - lo``.  Model rows left with
+    no column are only tested, in :meth:`rhs`.  Only the right-hand side
+    depends on the values of the pinned variables, so one form serves every
+    assignment of them.  The model's own rows, bounds and costs are kept
+    too, for checking answers in the model's terms.
+    """
+
+    def __init__(self, ir: ModelIR, lower: np.ndarray, upper: np.ndarray,
+                 pinned: list[int]):
+        n, m = ir.num_variables, ir.num_rows
+        counts = [len(row.coeffs) for row in ir.rows]
+        dense = np.zeros((m, n))
+        dense[np.repeat(np.arange(m), counts),
+              np.fromiter(itertools.chain.from_iterable(
+                  row.coeffs for row in ir.rows), dtype=int)] = np.fromiter(
+            itertools.chain.from_iterable(
+                row.coeffs.values() for row in ir.rows), dtype=float)
+        self.model_rows = dense
+        self.model_rhs = np.array([row.rhs for row in ir.rows], dtype=float)
+        self.model_direction = np.array([_DIRECTION[row.sense]
+                                         for row in ir.rows], dtype=float)
+        self.model_cost = np.zeros(n)
+        if ir.objective:
+            self.model_cost[list(ir.objective)] = list(ir.objective.values())
+        self.pinned = np.asarray(pinned, dtype=int)
+        self.lower, self.upper = lower, upper
+
+        const = lower == upper
+        const[self.pinned] = True
+        shift = ~const & np.isfinite(lower)
+        mirror = ~const & ~shift & np.isfinite(upper)
+        split = ~const & ~shift & ~mirror
+        self.base = np.where(shift | const, lower,
+                             np.where(mirror, upper, 0.0))
+        self.base[self.pinned] = 0.0
+        live = np.flatnonzero(~const)
+        self.source = np.repeat(live, np.where(split[live], 2, 1))
+        self.sign = np.repeat(np.where(mirror[live], -1.0, 1.0),
+                              np.where(split[live], 2, 1))
+        self.sign[1:][self.source[1:] == self.source[:-1]] = -1.0
+
+        cols = dense[:, self.source] * self.sign
+        base_rhs = self.model_rhs - dense @ self.base
+        empty = ~cols.any(axis=1)
+        self._empty_rhs = base_rhs[empty]
+        self._empty_pinned = dense[np.ix_(empty, self.pinned)]
+        self._empty_direction = self.model_direction[empty]
+        self._empty_tol = 1e-9 * (1.0 + np.abs(self.model_rhs[empty]))
+
+        boxed = np.flatnonzero(shift[self.source] & np.isfinite(
+            upper[self.source]))
+        width = np.zeros((boxed.size, self.source.size))
+        width[np.arange(boxed.size), boxed] = 1.0
+        self.a = np.vstack([cols[~empty], width])
+        self.direction = np.r_[self.model_direction[~empty],
+                               np.ones(boxed.size)]
+        self._rhs = np.r_[base_rhs[~empty],
+                          (upper - lower)[self.source[boxed]]]
+        self._pinned = np.vstack([dense[np.ix_(~empty, self.pinned)],
+                                  np.zeros((boxed.size, self.pinned.size))])
+        self.cost = self.model_cost[self.source] * self.sign
+
+    def rhs(self, bits: np.ndarray) -> np.ndarray | None:
+        """The LP right-hand side for pinned values ``bits``; ``None`` when
+        a row with no column is broken."""
+        empty = self._empty_rhs - self._empty_pinned @ bits
+        if np.any(_violation(self._empty_direction, empty) > self._empty_tol):
+            return None
+        return self._rhs - self._pinned @ bits
+
+    def point(self, y: np.ndarray, bits) -> np.ndarray:
+        """Model values for columns ``y`` and pinned values ``bits``."""
+        x = self.base + np.bincount(self.source, weights=self.sign * y,
+                                    minlength=self.base.size)
+        x[self.pinned] = bits
         return x
 
-    if not work_rows:
+
+@dataclass
+class _WarmBasis:
+    """An optimal tableau kept for re-solving under a new right-hand side.
+
+    ``tableau`` holds ``B^-1 [A | slacks | artificials | b]`` for rows
+    multiplied by ``flip`` (the cold solve made its right-hand side
+    nonnegative), with the reduced costs as its last row.  Column
+    ``identity[r]`` formed row ``r``'s unit column at the start, so
+    ``tableau[:m, identity]`` is ``B^-1``.  ``allowed`` marks the columns
+    that may enter: every one but the artificials.
+    """
+
+    tableau: np.ndarray
+    basis: np.ndarray
+    flip: np.ndarray
+    identity: np.ndarray
+    allowed: np.ndarray
+    cost: np.ndarray              # phase-2 cost of every tableau column
+    columns: int                  # structural columns, the form's ``y``
+
+
+def _assignment(form: _StandardForm, bits: np.ndarray,
+                warm: _WarmBasis | None):
+    """Solve the LP of one assignment: ``(status, y, warm)``.
+
+    Warm when a basis is at hand, cold otherwise or when the warm answer
+    fails its certificate.  The returned ``warm`` is the basis to carry to
+    the next assignment.
+    """
+    b = form.rhs(bits)
+    if b is None:
+        return INFEASIBLE, None, warm
+    if warm is not None:
+        answer = _dual_simplex(warm, b)
+        if answer is not None:
+            status, vector = answer
+            if status == OPTIMAL and _optimum_certified(form, warm, bits, b,
+                                                        vector):
+                return OPTIMAL, vector, warm
+            if status == INFEASIBLE and _farkas_certified(form, b, vector):
+                return INFEASIBLE, None, warm
+    return _cold_solve(form.a, form.direction, b, form.cost)
+
+
+def _cold_solve(a: np.ndarray, direction: np.ndarray, b: np.ndarray,
+                cost: np.ndarray):
+    """Two-phase primal simplex on ``a y (direction) b, y >= 0``.
+
+    Returns ``(status, y, warm)``; ``warm`` is the final tableau when the
+    LP is optimal and ``None`` otherwise.
+    """
+    m, n = a.shape
+    if m == 0:
         # Only nonnegativity remains; unbounded iff any payoff for growing y.
-        if np.any(obj_y < -_EPS):
+        if np.any(cost < -_EPS):
             return UNBOUNDED, None, None
-        y = np.zeros(n_cols)
-        x = reconstruct(y)
-        return OPTIMAL, ir.evaluate_objective(x), x
+        return OPTIMAL, np.zeros(n), None
 
-    # Standard form with nonnegative rhs.
-    m = len(work_rows)
-    n_slack = sum(1 for _, sense, _ in work_rows if sense != EQ)
-    senses = []
-    b = np.empty(m)
-    dense = np.zeros((m, n_cols))
-    for r, (coeffs, sense, rhs) in enumerate(work_rows):
-        flip = rhs < 0
-        for j, a in coeffs.items():
-            dense[r, j] = -a if flip else a
-        b[r] = -rhs if flip else rhs
-        if flip:
-            sense = GE if sense == LE else (LE if sense == GE else EQ)
-        senses.append(sense)
-
-    total = n_cols + n_slack + m   # worst case: artificials for every row
-    tableau = np.zeros((m, total + 1))
-    tableau[:, :n_cols] = dense
-    tableau[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    artificial = np.zeros(total, dtype=bool)
-    slack_at = n_cols
-    art_at = n_cols + n_slack
-    n_art = 0
-    for r, sense in enumerate(senses):
-        if sense == LE:
-            tableau[r, slack_at] = 1.0
-            basis[r] = slack_at
-            slack_at += 1
-        elif sense == GE:
-            tableau[r, slack_at] = -1.0
-            slack_at += 1
-            tableau[r, art_at] = 1.0
-            artificial[art_at] = True
-            basis[r] = art_at
-            art_at += 1
-            n_art += 1
-        else:
-            tableau[r, art_at] = 1.0
-            artificial[art_at] = True
-            basis[r] = art_at
-            art_at += 1
-            n_art += 1
-    used = art_at
-    tableau = tableau[:, np.r_[0:used, total]]
-    artificial = artificial[:used]
+    # Rows with a negative right-hand side are negated, which swaps <= and
+    # >=.  A <= row starts basic in its slack, the others in an artificial.
+    flip = np.where(b < 0, -1.0, 1.0)
+    sense = direction * flip
+    slack_rows = np.flatnonzero(sense != 0.0)
+    art_rows = np.flatnonzero(sense <= 0.0)
+    n_slack, n_art = slack_rows.size, art_rows.size
+    used = n + n_slack + n_art
+    tableau = np.zeros((m + 1, used + 1))
+    tableau[:m, :n] = a * flip[:, None]
+    tableau[:m, -1] = b * flip
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
+    tableau[slack_rows, slack_cols] = sense[slack_rows]
+    tableau[art_rows, art_cols] = 1.0
+    identity = np.empty(m, dtype=int)
+    identity[slack_rows] = slack_cols
+    identity[art_rows] = art_cols
+    basis = identity.copy()
+    artificial = np.zeros(used, dtype=bool)
+    artificial[art_cols] = True
 
     if n_art:
-        phase1_cost = np.where(artificial, 1.0, 0.0)
-        status = _pivot_loop(tableau, basis, phase1_cost,
-                             allowed=np.ones(used, dtype=bool))
+        tableau[m] = -tableau[art_rows].sum(axis=0)
+        tableau[m, art_cols] += 1.0
+        status = _pivot_loop(tableau, basis, np.ones(used, dtype=bool))
         if status != OPTIMAL:          # phase 1 is bounded below by zero
             raise SolverError("phase-1 simplex did not terminate optimal")
-        infeas = float(phase1_cost[basis] @ tableau[:, -1])
-        if infeas > 1e-7 * max(1.0, float(np.abs(b).max())):
+        infeas = float(tableau[:m, -1][artificial[basis]].sum())
+        if infeas > _PHASE1_TOL * max(1.0, float(np.abs(b).max())):
             return INFEASIBLE, None, None
         # Artificials stuck in the basis at zero level must be pivoted out
         # (any nonzero real column will do; the pivot is degenerate), or
@@ -512,63 +584,169 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
         for r in range(m):
             if not artificial[basis[r]]:
                 continue
-            cols = np.where(~artificial & (np.abs(tableau[r, :-1]) > _EPS))[0]
-            if cols.size == 0:
-                continue
-            j = int(cols[0])
-            pivot_row = tableau[r] / tableau[r, j]
-            factors = tableau[:, j].copy()
-            factors[r] = 0.0
-            tableau -= np.outer(factors, pivot_row)
-            tableau[r] = pivot_row
-            basis[r] = j
+            cols = np.flatnonzero(~artificial
+                                  & (np.abs(tableau[r, :-1]) > _EPS))
+            if cols.size:
+                _pivot(tableau, basis, r, int(cols[0]))
 
-    phase2_cost = np.zeros(used)
-    phase2_cost[:n_cols] = obj_y
-    status = _pivot_loop(tableau, basis, phase2_cost, allowed=~artificial)
-    if status == UNBOUNDED:
+    full_cost = np.zeros(used)
+    full_cost[:n] = cost
+    tableau[m, :-1] = full_cost - full_cost[basis] @ tableau[:m, :-1]
+    if _pivot_loop(tableau, basis, ~artificial) == UNBOUNDED:
         return UNBOUNDED, None, None
-
     y = np.zeros(used)
-    y[basis] = np.maximum(tableau[:, -1], 0.0)
-    x = reconstruct(y[:n_cols])
-    return OPTIMAL, ir.evaluate_objective(x), x
+    y[basis] = np.maximum(tableau[:m, -1], 0.0)
+    return OPTIMAL, y[:n], _WarmBasis(tableau, basis, flip, identity,
+                                      ~artificial, full_cost, n)
 
 
-def _pivot_loop(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                allowed: np.ndarray) -> str:
-    """Run simplex pivots in place until optimal or unbounded."""
-    m, width = tableau.shape
-    n = width - 1
+def _dual_simplex(warm: _WarmBasis, b: np.ndarray):
+    """Re-solve from ``warm``'s dual feasible basis for right-hand side ``b``.
+
+    Dual simplex pivots, with the same Dantzig choice and Bland guard as
+    the primal loop, run in place until every basic value is nonnegative
+    (``(OPTIMAL, y)``) or a short row has no column to enter
+    (``(INFEASIBLE, u)``, with ``u`` that row of ``B^-1`` in the form's row
+    orientation: a Farkas certificate).  A basic artificial sits in a row
+    with no real column, so a nonzero level there is a certificate too.
+    Returns ``None`` at the pivot cap.
+    """
+    tableau, basis = warm.tableau, warm.basis
+    m = basis.size
+    tableau[:m, -1] = tableau[:m, warm.identity] @ (warm.flip * b)
+    tol = _PHASE1_TOL * max(1.0, float(np.abs(b).max()))
     degenerate_run = 0
-    max_pivots = 2000 + 50 * (m + n)
+    for _ in range(_pivot_cap(tableau)):
+        beta = tableau[:m, -1]
+        stuck = ~warm.allowed[basis]
+        lost = np.flatnonzero(stuck & (np.abs(beta) > tol))
+        if lost.size:
+            r = int(lost[0])
+            return INFEASIBLE, (-np.sign(beta[r]) * warm.flip
+                                * tableau[r, warm.identity])
+        short = np.flatnonzero((beta < -_EPS) & ~stuck)
+        if short.size == 0:
+            y = np.zeros(tableau.shape[1] - 1)
+            y[basis] = np.maximum(beta, 0.0)
+            return OPTIMAL, y[:warm.columns]
+        if degenerate_run >= _BLAND_TRIGGER:
+            r = int(short[np.argmin(basis[short])])
+        else:
+            r = int(short[np.argmin(beta[short])])
+        row = tableau[r, :-1]
+        entering = np.flatnonzero((row < -_EPS) & warm.allowed)
+        if entering.size == 0:
+            return INFEASIBLE, warm.flip * tableau[r, warm.identity]
+        ratios = tableau[m, entering] / -row[entering]
+        best = float(ratios.min())
+        j = int(entering[np.flatnonzero(ratios <= best + _EPS)[0]])
+        degenerate_run = degenerate_run + 1 if best < _EPS else 0
+        _pivot(tableau, basis, r, j)
+    return None
+
+
+def _optimum_certified(form: _StandardForm, warm: _WarmBasis,
+                       bits: np.ndarray, b: np.ndarray, y: np.ndarray) -> bool:
+    """Whether ``y`` is an optimum, checked against the form's own arrays.
+
+    The point must satisfy the model's rows and bounds.  The duals
+    ``u = c_B B^-1`` of the warm basis must price every column and slack
+    nonnegatively, and their bound ``u b`` must meet the point's cost.
+    """
+    x = form.point(y, bits)
+    act = form.model_rows @ x
+    scale = 1.0 + np.abs(form.model_rhs) + np.abs(form.model_rows) @ np.abs(x)
+    if np.any(_violation(form.model_direction, form.model_rhs - act)
+              > _CERT_TOL * scale):
+        return False
+    box = _CERT_TOL * (1.0 + np.abs(x))
+    if np.any(x < form.lower - box) or np.any(x > form.upper + box):
+        return False
+    m = warm.basis.size
+    u = warm.flip * (warm.cost[warm.basis] @ warm.tableau[:m, warm.identity])
+    reduced = form.cost - u @ form.a
+    if np.any(reduced < -_CERT_DUAL_TOL * (1.0 + np.abs(form.cost)
+                                           + np.abs(u) @ np.abs(form.a))):
+        return False
+    if np.any(form.direction * u > _CERT_DUAL_TOL * (1.0 + np.abs(u))):
+        return False
+    gap = form.cost @ y - u @ b
+    return gap <= _CERT_TOL * (1.0 + np.abs(form.cost) @ np.abs(y)
+                               + np.abs(u) @ np.abs(b))
+
+
+def _farkas_certified(form: _StandardForm, b: np.ndarray,
+                      u: np.ndarray) -> bool:
+    """Whether row multipliers ``u`` prove ``a y (direction) b, y >= 0``
+    infeasible: ``u >= 0`` on ``<=`` rows, ``u <= 0`` on ``>=`` rows,
+    ``u a >= 0`` and ``u b < 0``, so no ``y`` can meet the rows.
+
+    Entries of the wrong sign are dropped first.  With ``u`` scaled to a
+    largest entry of 1, ``-u b`` is a lower bound on the cold solve's
+    phase-1 residual, so ``u b`` must clear the same threshold that makes a
+    cold solve report ``infeasible``.
+    """
+    u = np.where(form.direction * u < 0.0, 0.0, u)
+    size = float(np.abs(u).max(initial=0.0))
+    if size == 0.0:
+        return False
+    u = u / size
+    if u @ b >= -_PHASE1_TOL * max(1.0, float(np.abs(b).max())):
+        return False
+    return bool(np.all(u @ form.a >= -_CERT_TOL * (1.0 + np.abs(u)
+                                                    @ np.abs(form.a))))
+
+
+def _pivot_cap(tableau: np.ndarray) -> int:
+    """Pivots allowed on ``tableau`` (rows and columns include the
+    objective row and the right-hand side)."""
+    rows, width = tableau.shape
+    return 2000 + 50 * (rows - 1 + width - 1)
+
+
+def _pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Pivot in place on ``tableau[r, j]``; ``j`` enters the basis at ``r``."""
+    pivot_row = tableau[r] / tableau[r, j]
+    factors = tableau[:, j].copy()
+    factors[r] = 0.0
+    tableau -= np.outer(factors, pivot_row)
+    tableau[r] = pivot_row
+    basis[r] = j
+
+
+def _pivot_loop(tableau: np.ndarray, basis: np.ndarray,
+                allowed: np.ndarray) -> str:
+    """Run primal simplex pivots in place until optimal or unbounded.
+
+    The last row of ``tableau`` holds the reduced costs, kept current by
+    the pivots; only ``allowed`` columns may enter.
+    """
+    m = basis.size
+    n = tableau.shape[1] - 1
+    degenerate_run = 0
+    max_pivots = _pivot_cap(tableau)
     for _ in range(max_pivots):
-        reduced = cost[:n] - cost[basis] @ tableau[:, :n]
-        entering = np.where((reduced < -_EPS) & allowed)[0]
+        reduced = tableau[m, :n]
+        entering = np.flatnonzero((reduced < -_EPS) & allowed)
         if entering.size == 0:
             return OPTIMAL
         if degenerate_run >= _BLAND_TRIGGER:
             j = int(entering[0])
         else:
             j = int(entering[np.argmin(reduced[entering])])
-        col = tableau[:, j]
+        col = tableau[:m, j]
         positive = col > _EPS
         if not positive.any():
             return UNBOUNDED
         ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[positive, -1] / col[positive]
+        ratios[positive] = tableau[:m, -1][positive] / col[positive]
         best = float(ratios.min())
-        ties = np.where(ratios <= best + _EPS)[0]
+        ties = np.flatnonzero(ratios <= best + _EPS)
         if degenerate_run >= _BLAND_TRIGGER:
             r = int(ties[np.argmin(basis[ties])])
         else:
             r = int(ties[0])
         degenerate_run = degenerate_run + 1 if best < _EPS else 0
-        pivot_row = tableau[r] / tableau[r, j]
-        factors = tableau[:, j].copy()
-        factors[r] = 0.0
-        tableau -= np.outer(factors, pivot_row)
-        tableau[r] = pivot_row
-        basis[r] = j
+        _pivot(tableau, basis, r, j)
     raise CyclingGuardError(
         f"simplex exceeded {max_pivots} pivots on a {m}x{n} tableau")

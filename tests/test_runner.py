@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import gridxpand.runner as runner_module
-from gridxpand import (SolveConfig, SweepSpec, build_igtep, external_solve,
-                       oracle_solve, plan_document, plan_table, run_plan,
-                       run_sweep, sweep_table, write_document)
+from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
+                       external_solve, oracle_solve, plan_document,
+                       plan_table, run_plan, run_sweep, sweep_table,
+                       write_document)
 from support import (STANDARD_ROBUST, random_instance, toy_case,
                      toy_dc_det_objective, toy_robust_objective)
 
@@ -161,6 +162,7 @@ class TestPlanTable:
         assert "added units: U1" in text
         assert "objective:   0.118 ($ x 10^7)" in text
         assert "WARNING" not in text
+        assert "proven gap" not in text
 
     def test_thermal_table_reports_residual(self):
         plan = run_plan(toy_case(), STANDARD_ROBUST, "dtlr_robust", FAST)
@@ -171,6 +173,20 @@ class TestPlanTable:
         text = plan_table(plan)
         assert "status:     infeasible" in text
         assert "objective" not in text
+
+    def test_limit_plan_states_its_proven_gap(self):
+        plan = PlanResult(status="limit", mode="dtlr_robust",
+                          objective=310_390_162.88, added_lines=("L1",),
+                          audit={"solver": {"mip_gap": 0.0123}})
+        lines = plan_table(plan).splitlines()
+        assert lines[1:3] == ["status:     limit", "proven gap: 1.23e-02"]
+        assert "objective:   31.039 ($ x 10^7)" in lines
+
+    @pytest.mark.parametrize("audit", [{"solver": {"mip_gap": None}}, {}])
+    def test_limit_plan_without_a_gap_says_unknown(self, audit):
+        plan = PlanResult(status="limit", mode="dc_det", objective=1.5e7,
+                          audit=audit)
+        assert "proven gap: unknown" in plan_table(plan)
 
 
 class TestSweepSpec:
@@ -246,6 +262,15 @@ class TestSweepTable:
                  "objective": None, "added_lines": [], "added_units": [],
                  "element_count": 0, "error": "boom"}]
         assert "error" in sweep_table(rows)
+
+    def test_marks_a_cost_that_is_not_proven_optimal(self):
+        row = {"peak_mw": 4200.0, "mode": "dtlr_robust", "status": "limit",
+               "objective": 310_390_162.88, "added_lines": ["L1"],
+               "added_units": [], "element_count": 1}
+        text = sweep_table([row, dict(row, status="optimal")])
+        limit_line, optimal_line = text.splitlines()[2:]
+        assert limit_line.endswith(" 31.039 limit")
+        assert optimal_line.endswith(" 31.039")
 
 
 class TestWriteDocument:

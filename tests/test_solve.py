@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import os
 import sys
 import threading
@@ -11,12 +12,16 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize as sopt
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridxpand import ModelIR, SolveConfig, external_solve, oracle_solve, solve
+from gridxpand import (ModelIR, SolveConfig, build_igtep, external_solve,
+                       oracle_solve, solve)
 from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
 from gridxpand.solve import (INFEASIBLE, LIMIT, OPTIMAL, UNBOUNDED,
                              simplex_lp)
+from support import random_instance
 
 # The package re-exports the function ``solve``, which shadows the module.
 solve_module = importlib.import_module("gridxpand.solve")
@@ -474,6 +479,109 @@ class TestOracleSolve:
         assert sol.status == LIMIT
         assert "time limit" in sol.message
         assert sol.objective is not None   # all-zero assignment found first
+
+
+ORACLE = SolveConfig(backend="oracle", time_limit=60.0)
+
+
+def cold_enumeration(ir: ModelIR) -> tuple[str, float | None, list[str]]:
+    """The oracle as a plain loop: one cold :func:`simplex_lp` per
+    assignment.  Returns the status, the objective and every assignment's
+    LP status."""
+    free = ir.free_binaries()
+    best = None
+    statuses = []
+    for bits in itertools.product((0.0, 1.0), repeat=len(free)):
+        status, objective, _ = simplex_lp(
+            ir, bounds_override={v.index: (b, b) for v, b in zip(free, bits)})
+        statuses.append(status)
+        if status == UNBOUNDED:
+            return UNBOUNDED, None, statuses
+        if status == OPTIMAL and (best is None or objective < best):
+            best = objective
+    return (INFEASIBLE if best is None else OPTIMAL), best, statuses
+
+
+def planning_model(seed: int) -> ModelIR:
+    case, params, mode = random_instance(np.random.default_rng(seed))
+    return build_igtep(case, params, mode)[0]
+
+
+def assert_same_answer(sol, status, objective):
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Replace ``gridxpand.solve.<name>`` by a wrapper that logs its calls."""
+    calls = []
+    inner = getattr(solve_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(solve_module, name, wrapper)
+    return calls
+
+
+class TestOracleWarmStarts:
+    """The oracle re-solves each assignment from the last optimal basis."""
+
+    # Seeds 54, 43 and 5 draw dc_det, dc_robust and dtlr_robust models whose
+    # first 31, 11 and 7 assignments are infeasible, so no warm basis exists
+    # yet; seed 50 has no feasible assignment at all.
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(54)
+    @example(43)
+    @example(5)
+    @example(50)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_cold_enumeration(self, seed):
+        ir = planning_model(seed)
+        status, objective, _ = cold_enumeration(ir)
+        assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
+
+    def test_warm_basis_serves_every_later_assignment(self, monkeypatch):
+        ir = planning_model(5)
+        _, _, statuses = cold_enumeration(ir)
+        cold = counting(monkeypatch, "_cold_solve")
+        assert oracle_solve(ir, ORACLE).is_optimal
+        # The leading infeasible assignments and the first feasible one.
+        assert len(cold) == statuses.index(OPTIMAL) + 1
+
+    @pytest.mark.parametrize("corruption", ["point", "false infeasible"])
+    def test_corrupted_warm_answer_is_solved_cold(self, monkeypatch,
+                                                  corruption):
+        ir = planning_model(5)
+        status, objective, statuses = cold_enumeration(ir)
+        warm_step = solve_module._dual_simplex
+
+        def corrupted(warm, b):
+            answer = warm_step(warm, b)
+            if answer is None or answer[0] != OPTIMAL:
+                return answer
+            y = answer[1]
+            if corruption == "point":
+                return OPTIMAL, 1.5 * y + 0.5
+            return INFEASIBLE, warm.flip * warm.tableau[0, warm.identity]
+
+        monkeypatch.setattr(solve_module, "_dual_simplex", corrupted)
+        cold = counting(monkeypatch, "_cold_solve")
+        assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
+        # Every feasible assignment had its warm answer refused.
+        assert len(cold) >= statuses.count(OPTIMAL)
+
+    def test_objective_is_read_at_every_call(self):
+        ir = planning_model(5)
+        status, objective, _ = cold_enumeration(ir)
+        assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
+        flow = ir.variable("flow[E0,p0]").index
+        for sign in (1.0, -1.0):
+            ir.objective = {flow: sign}
+            status, objective, _ = cold_enumeration(ir)
+            assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
 
 
 class TestSolveDispatch:
