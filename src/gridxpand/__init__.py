@@ -27,7 +27,7 @@ from .thermal import (ConductorSpec, ConvectionCoeffs, HbeBreakdown,
                       line_convection, radiation_log_fit, radiation_loss,
                       resistance_at_temperature, reynolds_number,
                       steady_state_temperature)
-from .solve import SolveConfig, Solution, external_solve, oracle_solve, solve
+from .solve import SolveConfig, Solution, external_solve, oracle_solve
 from .network import (BusSpec, CaseSystem, GeneratorSpec, LineSpec, PeriodSpec,
                       Violation, scale_to_peak, validate_case)
 from .caseio import (Scenario, WeatherPatch, apply_scenario, case_to_document,
@@ -55,7 +55,7 @@ __all__ = [
     "line_convection", "radiation_loss", "resistance_at_temperature",
     "heat_balance_breakdown", "steady_state_temperature", "ampacity",
     "radiation_log_fit",
-    "SolveConfig", "Solution", "solve", "external_solve", "oracle_solve",
+    "SolveConfig", "Solution", "external_solve", "oracle_solve",
     "BusSpec", "LineSpec", "GeneratorSpec", "PeriodSpec", "CaseSystem",
     "Violation", "validate_case", "scale_to_peak",
     "parse_case", "load_case", "save_case", "case_to_document",

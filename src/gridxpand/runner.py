@@ -12,6 +12,11 @@ plan fixes the build choices of a thermal sub-MIP solved at a loose gap,
 and its solution is the MIP start of the full solve.  Without it HiGHS
 proves a tight root bound early but finds good incumbents late.
 
+Static-rating solves (``dc_det``, ``dc_robust``, also as the first seed
+stage) run without HiGHS's sub-MIP heuristics: root rounding already finds
+their optimum, and RINS, RENS and root reduced cost then took most of the
+search.  The thermal solves keep them, because there they pay off.
+
 Result documents are plain data with sorted keys and no timestamps,
 runtimes or solver statistics, so identical inputs and backend give
 byte-identical files.
@@ -54,8 +59,12 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     start is only an incumbent: the status, the proven gap and every audit
     are those of the full solve.
 
-    ``plan.audit["solver"]`` holds the final gap, dual bound, node count and
-    whether a start was given; like ``runtime_s`` it stays out of
+    ``dc_det`` and ``dc_robust`` are solved with ``sub_mips=False`` (see
+    :func:`~gridxpand.solve.external_solve`).
+
+    ``plan.audit["solver"]`` holds the final gap, dual bound, node count,
+    whether a start was given and whether the final solve allowed the
+    sub-MIP heuristics; like ``runtime_s`` it stays out of
     :func:`plan_document`.  For thermal-rating plans the nonlinear
     heat-balance audit runs automatically and lands in
     ``plan.audit["hbe"]`` next to the certified residual bound.
@@ -68,14 +77,17 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
         start = _thermal_start(case, params, vm, config,
                                SEED_TIME_SHARE * config.time_limit)
     left = config.time_limit - (time.perf_counter() - t0)
-    solution = solve(ir, replace(config, time_limit=left), start=start)
+    sub_mips = mode == "dtlr_robust"
+    solution = solve(ir, replace(config, time_limit=left), start=start,
+                     sub_mips=sub_mips)
     plan = extract_plan(solution, vm, case)
     plan.audit["backend"] = config.backend
     plan.audit["runtime_s"] = time.perf_counter() - t0
     plan.audit["solver"] = {"mip_gap": solution.mip_gap,
                             "mip_dual_bound": solution.mip_dual_bound,
                             "mip_node_count": solution.mip_node_count,
-                            "seeded": start is not None}
+                            "seeded": start is not None,
+                            "sub_mips": sub_mips}
     if mode == "dtlr_robust" and plan.has_plan:
         residuals = hbe_residual_audit(plan, case)
         bounds = hbe_certificate_bound(case, params)
@@ -97,11 +109,14 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
 
     Solves ``dc_robust`` at ``config.mip_gap``, pins the thermal model's
     ``build[*]``/``unit[*]`` binaries to that plan, and solves the rest at
-    ``SEED_MIP_GAP``; both solves share ``budget`` seconds.
+    ``SEED_MIP_GAP``; both solves share ``budget`` seconds.  The
+    ``dc_robust`` solve runs without sub-MIP heuristics, as in
+    :func:`run_plan`.
     """
     t0 = time.perf_counter()
     dc_ir, dc_vm = build_igtep(case, params, "dc_robust")
-    dc = external_solve(dc_ir, replace(config, time_limit=budget))
+    dc = external_solve(dc_ir, replace(config, time_limit=budget),
+                        sub_mips=False)
     left = budget - (time.perf_counter() - t0)
     if dc.values is None or left <= 0.0:
         return None

@@ -8,6 +8,10 @@ module is private to scipy, so it is imported behind a guard: when it is
 missing, the backend falls back to :func:`scipy.optimize.milp` and ignores
 the start.  Both paths report the proven gap, the dual bound and the node
 count.  A start is only an incumbent and never changes the optimum.
+Callers may switch off HiGHS's sub-MIP primal heuristics (RINS, RENS and
+root reduced cost), which on the static-rating models spend most of the
+search re-finding what root rounding already found; they steer the search
+only, never the optimum.
 
 The ``oracle`` backend is deliberately independent of HiGHS: it uses numpy
 and nothing else.  It enumerates every assignment of the free binaries and
@@ -56,6 +60,10 @@ LIMIT = "limit"
 ERROR = "error"
 
 ENUMERATION_HARD_CAP = 24
+
+# HiGHS options of the sub-MIP heuristics that ``sub_mips=False`` turns off.
+SUB_MIP_OPTIONS = ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
+                   "mip_heuristic_run_root_reduced_cost")
 
 _SCIPY_STATUS = {0: OPTIMAL, 1: LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: ERROR}
 # HiGHS model statuses by name, mapped as scipy's milp maps them; any other
@@ -128,11 +136,12 @@ class Solution:
 
 
 def solve(ir: ModelIR, config: SolveConfig | None = None, *,
-          start: np.ndarray | None = None) -> Solution:
-    """Dispatch on ``config.backend``; the oracle ignores ``start``."""
+          start: np.ndarray | None = None, sub_mips: bool = True) -> Solution:
+    """Dispatch on ``config.backend``; the oracle ignores ``start`` and
+    ``sub_mips``."""
     config = config if config is not None else SolveConfig()
     if config.backend == "external":
-        return external_solve(ir, config, start=start)
+        return external_solve(ir, config, start=start, sub_mips=sub_mips)
     return oracle_solve(ir, config)
 
 
@@ -151,13 +160,17 @@ def _vacuous_row_ok(rhs: float, sense: str) -> bool:
 def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                    start: np.ndarray | None = None,
                    bounds_override: dict[int, tuple[float, float]]
-                   | None = None) -> Solution:
+                   | None = None, sub_mips: bool = True) -> Solution:
     """Solve with HiGHS at ``config.mip_gap`` within ``config.time_limit``.
 
     ``start`` is a full value vector offered to HiGHS as a MIP start; an
     infeasible start is dropped by HiGHS, and the fallback path without
     scipy's ``_Highs`` ignores it.  ``bounds_override`` replaces the bounds
-    of the listed variables, as in :func:`simplex_lp`.
+    of the listed variables, as in :func:`simplex_lp`.  ``sub_mips=False``
+    switches off the heuristics in :data:`SUB_MIP_OPTIONS`; that changes
+    how fast the optimum is found, not the optimum.  The fallback path
+    ignores it, because :func:`scipy.optimize.milp` has no option for them,
+    and gives the same answer with them running.
     """
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
@@ -195,7 +208,9 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     with _stdout_to_stderr():
         try:
             fields = run(cost, matrix, row_lo, row_hi, lower, upper,
-                         integrality, config, start)
+                         integrality, config, start, sub_mips)
+        except SolverError:
+            raise
         except Exception as exc:  # malformed input surfaced by HiGHS or scipy
             raise SolverError(
                 f"external solver rejected the model: {exc}") from exc
@@ -237,7 +252,7 @@ def _stdout_to_stderr():
 
 
 def _run_highs(cost, matrix, row_lo, row_hi, lower, upper, integrality,
-               config, start) -> dict:
+               config, start, sub_mips) -> dict:
     """One HiGHS run through scipy's private ``_Highs`` object."""
     lp = _highs.HighsLp()
     lp.num_col_ = len(cost)
@@ -259,6 +274,10 @@ def _run_highs(cost, matrix, row_lo, row_hi, lower, upper, integrality,
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("time_limit", float(config.time_limit))
     highs.setOptionValue("mip_rel_gap", float(config.mip_gap))
+    if not sub_mips:
+        for name in SUB_MIP_OPTIONS:
+            if highs.setOptionValue(name, False) != _highs.HighsStatus.kOk:
+                raise SolverError(f"HiGHS refused option {name}")
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverError("HiGHS refused the model")
     if start is not None:
@@ -287,8 +306,9 @@ def _run_highs(cost, matrix, row_lo, row_hi, lower, upper, integrality,
 
 
 def _run_milp(cost, matrix, row_lo, row_hi, lower, upper, integrality,
-              config, start) -> dict:
-    """One HiGHS run through :func:`scipy.optimize.milp`; no MIP start."""
+              config, start, sub_mips) -> dict:
+    """One HiGHS run through :func:`scipy.optimize.milp`; no MIP start, and
+    the sub-MIP heuristics always run."""
     constraints = ()
     if matrix.shape[0]:
         constraints = sopt.LinearConstraint(matrix, row_lo, row_hi)

@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
-import importlib
 import json
 
 import numpy as np
 import pytest
 
 import gridxpand.runner as runner_module
+import gridxpand.solve as solve_module
 from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
                        external_solve, oracle_solve, plan_document,
-                       plan_table, run_plan, run_sweep, sweep_table,
-                       write_document)
+                       plan_table, run_plan, run_sweep, scale_to_peak,
+                       sweep_table, write_document)
 from support import (STANDARD_ROBUST, random_instance, toy_case,
                      toy_dc_det_objective, toy_robust_objective)
 
 FAST = SolveConfig(time_limit=60.0)
-
-# The package re-exports the function ``solve``, which shadows the module.
-solve_module = importlib.import_module("gridxpand.solve")
 
 
 class TestRunPlan:
@@ -57,6 +54,7 @@ class TestRunPlan:
                                                          rel=1e-6)
         assert solver["mip_node_count"] >= 0
         assert solver["seeded"] is True
+        assert solver["sub_mips"] is True
 
     def test_only_external_thermal_runs_are_seeded(self):
         dc = run_plan(toy_case(), STANDARD_ROBUST, "dc_robust", FAST)
@@ -65,6 +63,30 @@ class TestRunPlan:
         assert dc.audit["solver"]["seeded"] is False
         assert oracle.audit["solver"]["seeded"] is False
         assert oracle.audit["solver"]["mip_gap"] is None
+
+    def test_static_solves_run_without_sub_mip_heuristics(self,
+                                                           monkeypatch):
+        calls = []
+
+        def recording(name):
+            inner = getattr(runner_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs.get("sub_mips", True)))
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(runner_module, name, wrapper)
+
+        recording("external_solve")
+        recording("solve")
+        dc = run_plan(toy_case(), STANDARD_ROBUST, "dc_det", FAST)
+        assert calls == [("solve", False)]
+        assert dc.audit["solver"]["sub_mips"] is False
+        calls.clear()
+        thermal = run_plan(toy_case(), STANDARD_ROBUST, "dtlr_robust", FAST)
+        # the dc_robust seed stage, the pinned sub-solve, the full solve
+        assert calls == [("external_solve", False), ("external_solve", True),
+                         ("solve", True)]
+        assert thermal.audit["solver"]["sub_mips"] is True
 
     def test_cold_solve_when_dc_robust_finds_no_plan(self):
         plan = run_plan(toy_case(peak=1000.0), STANDARD_ROBUST,
@@ -111,6 +133,69 @@ class TestSeededThermalRuns:
         assert plan.audit["solver"]["seeded"] is True
         assert plan.added_lines == ()
         assert plan.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+class TestStaticSolves:
+    """Static modes run without HiGHS's sub-MIP heuristics; the optimum
+    must be the one HiGHS finds with them."""
+
+    @pytest.mark.parametrize("peak", [500.0, 600.0, 700.0])
+    @pytest.mark.parametrize("mode", ["dc_det", "dc_robust"])
+    def test_six_bus_rows_that_branch(self, six_bus, six_bus_robust, peak,
+                                      mode):
+        assert_matches_default_heuristics(scale_to_peak(six_bus, peak),
+                                          six_bus_robust, mode)
+
+    def test_rts24_slowest_static_row(self, rts24, rts24_scenario):
+        assert_matches_default_heuristics(scale_to_peak(rts24, 4000.0),
+                                          rts24_scenario.robust, "dc_det")
+
+    def test_heuristics_never_change_the_optimum(self):
+        """Static ``run_plan`` against the enumeration oracle."""
+        rng = np.random.default_rng(4242)
+        n_static = n_optimal = 0
+        while n_static < 12:
+            case, params, mode = random_instance(rng)
+            if mode == "dtlr_robust":
+                continue
+            n_static += 1
+            plan = run_plan(case, params, mode, FAST)
+            assert plan.audit["solver"]["sub_mips"] is False
+            ir, _ = build_igtep(case, params, mode)
+            ref = oracle_solve(ir, SolveConfig(backend="oracle",
+                                               time_limit=60.0))
+            assert plan.status == ref.status
+            if ref.is_optimal:
+                n_optimal += 1
+                assert abs(plan.objective - ref.objective) <= \
+                    1e-6 * max(1.0, abs(ref.objective))
+        assert n_optimal >= 5
+
+    def test_milp_fallback_gives_the_same_answer(self, six_bus,
+                                                 six_bus_robust,
+                                                 monkeypatch):
+        # scipy's milp has no switch for the heuristics, so they run there.
+        case = scale_to_peak(six_bus, 600.0)
+        config = SolveConfig(time_limit=60.0, mip_gap=1e-4)
+        direct = run_plan(case, six_bus_robust, "dc_det", config)
+        monkeypatch.setattr(solve_module, "_highs", None)
+        fallback = run_plan(case, six_bus_robust, "dc_det", config)
+        assert fallback.status == direct.status == "optimal"
+        assert fallback.objective == pytest.approx(direct.objective,
+                                                   rel=1e-4)
+        assert fallback.added_units == direct.added_units
+
+
+def assert_matches_default_heuristics(case, params, mode):
+    """``run_plan`` and a solve at HiGHS's defaults agree within the gap."""
+    config = SolveConfig(time_limit=120.0, mip_gap=1e-4)
+    plan = run_plan(case, params, mode, config)
+    ir, _ = build_igtep(case, params, mode)
+    ref = external_solve(ir, config)
+    assert plan.audit["solver"]["sub_mips"] is False
+    assert plan.status == ref.status == "optimal"
+    assert abs(plan.objective - ref.objective) <= \
+        config.mip_gap * abs(ref.objective)
 
 
 class TestQuietSolves:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import os
 import sys
@@ -15,16 +14,14 @@ import scipy.optimize as sopt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gridxpand.solve as solve_module
 from gridxpand import (ModelIR, SolveConfig, build_igtep, external_solve,
-                       oracle_solve, solve)
+                       oracle_solve)
 from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
-from gridxpand.solve import (INFEASIBLE, LIMIT, OPTIMAL, UNBOUNDED,
-                             simplex_lp)
+from gridxpand.solve import (INFEASIBLE, LIMIT, OPTIMAL, SUB_MIP_OPTIONS,
+                             UNBOUNDED, simplex_lp, solve)
 from support import random_instance
-
-# The package re-exports the function ``solve``, which shadows the module.
-solve_module = importlib.import_module("gridxpand.solve")
 
 SENSES = (LE, GE, EQ)
 _SENSE_CODE = {LE: 0, GE: 1, EQ: 2}
@@ -351,6 +348,57 @@ class TestHighsBinding:
                 == h.SolutionStatus.kSolutionStatusFeasible)
         assert list(highs.getSolution().col_value) in ([1.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("name", ["mip_heuristic_run_rins",
+                                      "mip_heuristic_run_rens",
+                                      "mip_heuristic_run_root_reduced_cost"])
+    def test_sub_mip_options_accept_false(self, name):
+        """A renamed option would quietly bring the sub-MIP search back."""
+        assert name in SUB_MIP_OPTIONS
+        h = solve_module._highs
+        highs = h._Highs()
+        assert highs.setOptionValue(name, False) == h.HighsStatus.kOk
+        assert highs.getOptionValue(name)[1] is False
+
+    def test_refused_sub_mip_option_raises(self, monkeypatch):
+        recorder = self._record_options(monkeypatch, refuse=True)
+        with pytest.raises(SolverError, match=SUB_MIP_OPTIONS[0]):
+            external_solve(known_milp(), sub_mips=False)
+        # with the heuristics left on, those options are never touched
+        recorder.clear()
+        assert external_solve(known_milp()).objective == pytest.approx(-6.0)
+        assert not set(recorder) & set(SUB_MIP_OPTIONS)
+
+    def test_sub_mips_false_switches_the_three_off(self, monkeypatch):
+        recorder = self._record_options(monkeypatch, refuse=False)
+        sol = external_solve(known_milp(), sub_mips=False)
+        assert sol.objective == pytest.approx(-6.0)
+        assert {name: recorder[name] for name in SUB_MIP_OPTIONS} == \
+            dict.fromkeys(SUB_MIP_OPTIONS, False)
+
+    @staticmethod
+    def _record_options(monkeypatch, refuse: bool) -> dict:
+        """Route ``_Highs.setOptionValue`` through a recorder; with
+        ``refuse`` it answers ``kError`` for the sub-MIP options."""
+        h = solve_module._highs
+        real = h._Highs
+        recorder: dict = {}
+
+        class Recording:
+            def __init__(self):
+                self._highs = real()
+
+            def setOptionValue(self, name, value):
+                recorder[name] = value
+                if refuse and name in SUB_MIP_OPTIONS:
+                    return h.HighsStatus.kError
+                return self._highs.setOptionValue(name, value)
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+        monkeypatch.setattr(h, "_Highs", Recording)
+        return recorder
+
     def test_milp_fallback_gives_the_same_result(self, monkeypatch):
         ir = known_milp()
         direct = external_solve(ir, start=np.array([1.0, 0.0, 0.0]))
@@ -372,6 +420,13 @@ class TestHighsBinding:
         assert external_solve(ir).objective == pytest.approx(0.0)
         ir.add_row("cap", {x: 1.0}, GE, 2.0)
         assert external_solve(ir).status == INFEASIBLE
+
+
+class TestPackageNamespace:
+    def test_solve_submodule_is_not_shadowed(self):
+        import gridxpand.solve as m
+        assert m.simplex_lp is simplex_lp
+        assert m is sys.modules["gridxpand.solve"]
 
 
 class TestStdoutRedirect:
@@ -592,6 +647,21 @@ class TestSolveDispatch:
         assert solve(ir).backend == "external"
         assert solve(ir, SolveConfig(backend="oracle")).backend == "oracle"
         assert solve(ir).objective == pytest.approx(1.0)
+
+    def test_forwards_sub_mips_to_external_only(self, monkeypatch):
+        ir = known_milp()
+        seen = []
+
+        def external(ir, config, **kwargs):
+            seen.append(kwargs)
+            return "external"
+
+        monkeypatch.setattr(solve_module, "external_solve", external)
+        assert solve(ir, sub_mips=False) == "external"
+        assert seen == [{"start": None, "sub_mips": False}]
+        oracle = solve(ir, SolveConfig(backend="oracle"), sub_mips=False)
+        assert oracle.objective == pytest.approx(-6.0)
+        assert len(seen) == 1
 
     def test_value_requires_solution(self):
         ir = ModelIR()
