@@ -42,7 +42,7 @@ from .linearize import (TrigSegments, gadget_binary_product,
                         gadget_square_cuts, gadget_switched_dc_flow,
                         trig_segments)
 from .network import CaseSystem, LineSpec, validate_case
-from .thermal import RadiationLogFit, line_convection, radiation_log_fit
+from .thermal import line_convection, radiation_log_fit
 from .uncertainty import RobustParams, robust_margin
 
 MODES = ("dc_det", "dc_robust", "dtlr_robust")
@@ -244,7 +244,6 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             "the convection caps would go negative")
     i_base = case.current_base
 
-    fits: dict[tuple[float, float, float, float], RadiationLogFit] = {}
     sq_gaps: dict[str, float] = {}
     rad_bands: dict[str, float] = {}
     ir.metadata["certificates"]["square_gap_w_per_m"] = sq_gaps
@@ -342,10 +341,7 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             kr = weather.radiation_coeff
             t_lo = min(273.0, t_env)
             t_hi = max(373.0, c.t_max)
-            fit_key = (eps, kr, t_lo, t_hi)
-            if fit_key not in fits:
-                fits[fit_key] = radiation_log_fit(eps, kr, t_lo, t_hi)
-            fit = fits[fit_key]
+            fit = radiation_log_fit(eps, kr, t_lo, t_hi)
             rad_bands[f"{c.id},{d.id}"] = fit.band
             a_rad, b_rad = fit.link_coefficients(t_env)
             qrad_cap = max(0.0, a_rad * c.t_max + b_rad) + fit.band
@@ -522,7 +518,6 @@ def hbe_certificate_bound(case: CaseSystem, params: RobustParams,
     """
     trig = trig_segments(TRIG_WINDOW)
     i_base = case.current_base
-    fits: dict[tuple[float, float, float, float], RadiationLogFit] = {}
     bounds: dict[tuple[str, str], float] = {}
     for d in case.periods:
         for c in case.lines:
@@ -535,10 +530,8 @@ def hbe_certificate_bound(case: CaseSystem, params: RobustParams,
             kr = weather.radiation_coeff
             t_lo = min(273.0, weather.ambient_temp)
             t_hi = max(373.0, c.t_max)
-            fit_key = (eps, kr, t_lo, t_hi)
-            if fit_key not in fits:
-                fits[fit_key] = radiation_log_fit(eps, kr, t_lo, t_hi)
+            band = radiation_log_fit(eps, kr, t_lo, t_hi).band
             qs = weather.solar_gain
-            bounds[c.id, d.id] = (sq_gap + fits[fit_key].band
+            bounds[c.id, d.id] = (sq_gap + band
                                   + params.mu * (1.0 + max(1.0, abs(qs))))
     return bounds

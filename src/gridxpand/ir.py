@@ -129,9 +129,6 @@ class ModelIR:
         """Binary variables whose value is not already pinned by bounds."""
         return [v for v in self.variables if v.kind == BINARY and not v.is_fixed]
 
-    def evaluate_objective(self, values) -> float:
-        return sum(coef * values[var] for var, coef in self.objective.items())
-
     def row_activity(self, row: Row, values) -> float:
         return sum(coef * values[var] for var, coef in row.coeffs.items())
 

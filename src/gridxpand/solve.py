@@ -25,6 +25,11 @@ answer is taken on trust: an optimum must be feasible in the model's rows
 and bounds and priced optimal by its basis's duals, and an infeasibility
 must come with a Farkas certificate, both checked against the original
 arrays.  An answer that fails its check is solved again from scratch.
+Once an incumbent exists, each assignment is first priced by the last
+basis's duals, sign-corrected, into a lower bound on its LP that holds for
+any duals and any right-hand side; an assignment whose bound exceeds the
+incumbent by more than its rounding is skipped unsolved, since it could
+never replace it.
 Agreement between the two backends is part of the test battery, so the
 oracle favours transparency over speed and refuses models with more free
 binaries than the enumeration cap.
@@ -342,10 +347,15 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
     the two-phase simplex; after that, each starts from the last optimal
     basis and runs dual simplex pivots (:func:`_dual_simplex`).  A warm
     answer counts only with a certificate checked against the form's
-    arrays; otherwise that assignment is solved cold.  Any unbounded
-    assignment makes the whole model unbounded; otherwise the best finite
-    optimum wins and infeasibility means no assignment admitted a feasible
-    LP.  ``ir.objective`` is read at every call.
+    arrays; otherwise that assignment is solved cold.  With an incumbent
+    and a basis at hand, an assignment is first priced by
+    :class:`_DualBound` and skipped when its bound proves that it cannot
+    beat the incumbent; the bound is valid for any duals, so a skipped
+    assignment is never one that would have won.  Any unbounded
+    assignment makes the whole model unbounded (a finite bound proves an
+    assignment bounded); otherwise the best finite optimum wins and
+    infeasibility means no assignment admitted a feasible LP.
+    ``ir.objective`` is read at every call.
     """
     config = config if config is not None else SolveConfig(backend="oracle")
     start = time.perf_counter()
@@ -358,19 +368,29 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
     form = _StandardForm(ir, *_bounds(ir, None),
                          pinned=[v.index for v in free])
     warm = None
+    bound = None                 # priced from ``warm``, again after a solve
     best_obj = math.inf
     best_x = None
     timed_out = False
     for bits in itertools.product((0.0, 1.0), repeat=len(free)):
-        status, y, warm = _assignment(form, np.array(bits), warm)
-        if status == UNBOUNDED:
-            return Solution(UNBOUNDED, None, None,
-                            time.perf_counter() - start, "oracle")
-        if status == OPTIMAL:
-            x = form.point(y, bits)
-            objective = float(form.model_cost @ x)
-            if objective < best_obj:
-                best_obj, best_x = objective, x
+        bits = np.array(bits)
+        b = form.rhs(bits)
+        if b is not None and best_x is not None and warm is not None:
+            if bound is None:
+                bound = _DualBound(form, warm)
+            if bound.prunes(bits, b, best_obj):
+                b = None             # cannot beat the incumbent
+        if b is not None:
+            status, y, warm = _assignment(form, bits, b, warm)
+            bound = None
+            if status == UNBOUNDED:
+                return Solution(UNBOUNDED, None, None,
+                                time.perf_counter() - start, "oracle")
+            if status == OPTIMAL:
+                x = form.point(y, bits)
+                objective = float(form.model_cost @ x)
+                if objective < best_obj:
+                    best_obj, best_x = objective, x
         if time.perf_counter() - start > config.time_limit:
             timed_out = True
             break
@@ -403,7 +423,10 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
         return INFEASIBLE, None, None
     form = _StandardForm(ir, lower, upper, pinned=[])
     bits = np.zeros(0)
-    status, y, _ = _assignment(form, bits, None)
+    b = form.rhs(bits)
+    if b is None:
+        return INFEASIBLE, None, None
+    status, y, _ = _assignment(form, bits, b, None)
     if status != OPTIMAL:
         return status, None, None
     x = form.point(y, bits)
@@ -430,7 +453,8 @@ class _StandardForm:
     Variables whose bounds meet, and the ``pinned`` ones, are constants and
     leave the matrix.  The rest are shifted (``x = lo + y``), mirrored
     (``x = hi - y``) or split (``x = y+ - y-``), and each shifted variable
-    with a finite width gets a row ``y <= hi - lo``.  Model rows left with
+    with a finite width gets a row ``y <= hi - lo``; ``width`` holds that
+    width per column, infinite for the others.  Model rows left with
     no column are only tested, in :meth:`rhs`.  Only the right-hand side
     depends on the values of the pinned variables, so one form serves every
     assignment of them.  The model's own rows, bounds and costs are kept
@@ -490,7 +514,12 @@ class _StandardForm:
                           (upper - lower)[self.source[boxed]]]
         self._pinned = np.vstack([dense[np.ix_(~empty, self.pinned)],
                                   np.zeros((boxed.size, self.pinned.size))])
+        self.width = np.full(self.source.size, np.inf)
+        self.width[boxed] = (upper - lower)[self.source[boxed]]
         self.cost = self.model_cost[self.source] * self.sign
+        # The model's cost is constant + pinned_cost @ bits + cost @ y.
+        self.constant = float(self.model_cost @ self.base)
+        self.pinned_cost = self.model_cost[self.pinned]
 
     def rhs(self, bits: np.ndarray) -> np.ndarray | None:
         """The LP right-hand side for pinned values ``bits``; ``None`` when
@@ -528,18 +557,23 @@ class _WarmBasis:
     cost: np.ndarray              # phase-2 cost of every tableau column
     columns: int                  # structural columns, the form's ``y``
 
+    def duals(self) -> np.ndarray:
+        """``u = c_B B^-1`` of the current basis, in the form's row
+        orientation."""
+        m = self.basis.size
+        return self.flip * (self.cost[self.basis]
+                            @ self.tableau[:m, self.identity])
 
-def _assignment(form: _StandardForm, bits: np.ndarray,
+
+def _assignment(form: _StandardForm, bits: np.ndarray, b: np.ndarray,
                 warm: _WarmBasis | None):
-    """Solve the LP of one assignment: ``(status, y, warm)``.
+    """Solve the LP of one assignment, with right-hand side ``b``:
+    ``(status, y, warm)``.
 
     Warm when a basis is at hand, cold otherwise or when the warm answer
     fails its certificate.  The returned ``warm`` is the basis to carry to
-    the next assignment.
+    the next assignment; a warm solve pivots the given one in place.
     """
-    b = form.rhs(bits)
-    if b is None:
-        return INFEASIBLE, None, warm
     if warm is not None:
         answer = _dual_simplex(warm, b)
         if answer is not None:
@@ -550,6 +584,44 @@ def _assignment(form: _StandardForm, bits: np.ndarray,
             if status == INFEASIBLE and _farkas_certified(form, b, vector):
                 return INFEASIBLE, None, warm
     return _cold_solve(form.a, form.direction, b, form.cost)
+
+
+class _DualBound:
+    """A lower bound on every assignment's LP, priced from one basis.
+
+    The basis's duals ``u`` lose any entry of the wrong sign for its row,
+    so ``u a y >= u b`` holds for every ``y`` that meets the rows.  With the
+    reduced costs ``r = cost - u a`` and ``y`` inside its box,
+    ``cost y >= u b + sum_j min(r_j, 0) w_j``, where ``w_j`` is column
+    ``j``'s width.  That holds for any ``u`` and any right-hand side, not
+    only at the basis's own optimum (Land & Doig, 1960, bound the
+    subproblems of an enumeration; Neumaier & Shcherbina, 2004, make such a
+    bound safe from rounding of the duals).  A basis with a negative
+    reduced cost on a column of unbounded width gives no bound.
+    Everything but ``u b`` depends on the basis alone, so it is computed
+    once per basis.
+    """
+
+    def __init__(self, form: _StandardForm, warm: _WarmBasis):
+        u = warm.duals()
+        u = np.where(form.direction * u > 0.0, 0.0, u)
+        reduced = form.cost - u @ form.a
+        negative = reduced < 0.0
+        self.form = form
+        self.u = u
+        self.abs_u = np.abs(u)
+        # -inf, so nothing is pruned, when a negative reduced cost sits on
+        # a column of unbounded width.
+        self.floor = form.constant + float(reduced[negative]
+                                           @ form.width[negative])
+
+    def prunes(self, bits: np.ndarray, b: np.ndarray,
+               incumbent: float) -> bool:
+        """Whether the model's cost under ``bits`` provably exceeds
+        ``incumbent``, by more than the rounding the bound can carry."""
+        bound = self.floor + self.form.pinned_cost @ bits + self.u @ b
+        return bool(bound - incumbent > _CERT_TOL * (
+            1.0 + abs(incumbent) + self.abs_u @ np.abs(b)))
 
 
 def _cold_solve(a: np.ndarray, direction: np.ndarray, b: np.ndarray,
@@ -682,8 +754,7 @@ def _optimum_certified(form: _StandardForm, warm: _WarmBasis,
     box = _CERT_TOL * (1.0 + np.abs(x))
     if np.any(x < form.lower - box) or np.any(x > form.upper + box):
         return False
-    m = warm.basis.size
-    u = warm.flip * (warm.cost[warm.basis] @ warm.tableau[:m, warm.identity])
+    u = warm.duals()
     reduced = form.cost - u @ form.a
     if np.any(reduced < -_CERT_DUAL_TOL * (1.0 + np.abs(form.cost)
                                            + np.abs(u) @ np.abs(form.a))):

@@ -12,6 +12,7 @@ log-domain linearization of the radiation term that the MILP consumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -309,6 +310,7 @@ class RadiationLogFit:
         return a * temperature + b
 
 
+@functools.lru_cache(maxsize=256)
 def radiation_log_fit(emissivity: float, radiation_coeff: float,
                       t_lo: float = 273.0, t_hi: float = 373.0,
                       n_certify: int = DEFAULT_CERT_GRID) -> RadiationLogFit:
@@ -316,7 +318,8 @@ def radiation_log_fit(emissivity: float, radiation_coeff: float,
 
     The temperature-side fit lands near slope 0.0031 for the default window;
     the flux-side window is the image of the temperature window under
-    ``eps*Kr*T^4``, so its fit depends on the conductor parameters.
+    ``eps*Kr*T^4``, so its fit depends on the conductor parameters.  The
+    result is frozen, so equal arguments share one memoized fit.
     """
     if not 0 < t_lo < t_hi:
         raise ValueError(f"degenerate temperature window [{t_lo}, {t_hi}]")

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from gridxpand import (RobustParams, SolveConfig, build_igtep, extract_plan,
                        external_solve, hbe_certificate_bound,
-                       hbe_residual_audit, oracle_solve, robust_margin)
+                       hbe_residual_audit, oracle_solve, radiation_log_fit,
+                       robust_margin)
 from gridxpand.builder import MODES, reference_bus
 from gridxpand.errors import ExtractionError, ModelBuildError
 from gridxpand.ir import EQ, GE
@@ -133,6 +135,23 @@ class TestModelShape:
         assert certs["trig"]["cos_max_rel_err"] < 0.05
         assert set(certs["square_gap_w_per_m"]) == {"E,p1", "L,p1"}
         assert set(certs["radiation_band_w_per_m"]) == {"E,p1", "L,p1"}
+
+    def test_radiation_bands_match_a_fresh_fit(self, six_bus,
+                                               six_bus_robust):
+        """Memoized fits leave every radiation certificate as it was."""
+        fresh = functools.lru_cache(radiation_log_fit.__wrapped__)
+        for _ in range(2):
+            ir, _ = build_igtep(six_bus, six_bus_robust, "dtlr_robust")
+            bands = ir.metadata["certificates"]["radiation_band_w_per_m"]
+            assert len(bands) == len(six_bus.lines) * len(six_bus.periods)
+            for d in six_bus.periods:
+                for c in six_bus.lines:
+                    weather = d.weather[c.id]
+                    fit = fresh(c.conductor.emissivity,
+                                weather.radiation_coeff,
+                                min(273.0, weather.ambient_temp),
+                                max(373.0, c.t_max))
+                    assert bands[f"{c.id},{d.id}"] == fit.band
 
     def test_angle_diff_window(self):
         ir, vm = build_igtep(toy_case(), STANDARD_ROBUST, "dtlr_robust")

@@ -6,11 +6,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridxpand.runner as runner_module
 import gridxpand.solve as solve_module
 from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
-                       external_solve, oracle_solve, plan_document,
+                       external_solve, hbe_certificate_bound,
+                       hbe_residual_audit, oracle_solve, plan_document,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
 from support import (STANDARD_ROBUST, random_instance, toy_case,
@@ -116,6 +119,31 @@ class TestSeededThermalRuns:
                     1e-6 * max(1.0, abs(ref.objective))
         # the draws must exercise the seeded path on feasible instances
         assert n_seeded >= 5 and n_optimal >= 5
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_thermal_draws_match_the_oracle_within_the_hbe_bound(self, seed):
+        """On any thermal draw of ``random_instance``, the seeded
+        ``run_plan`` and an unseeded solve match the oracle, and every heat
+        balance of the plan stays within the certified bound."""
+        rng = np.random.default_rng(seed)
+        mode = None
+        while mode != "dtlr_robust":
+            case, params, mode = random_instance(rng)
+        plan = run_plan(case, params, mode, FAST)
+        ir, _ = build_igtep(case, params, mode)
+        cold = external_solve(ir, FAST)
+        ref = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
+        assert plan.status == cold.status == ref.status
+        if not ref.is_optimal:
+            return
+        for objective in (plan.objective, cold.objective):
+            assert abs(objective - ref.objective) <= \
+                1e-6 * max(1.0, abs(ref.objective))
+        bounds = hbe_certificate_bound(case, params)
+        residuals = hbe_residual_audit(plan, case)
+        assert residuals
+        assert all(r <= bounds[key] + 1e-9 for key, r in residuals.items())
 
     def test_worse_start_is_overruled(self, monkeypatch):
         # On small draws the seed is usually optimal already; this start

@@ -581,8 +581,23 @@ def counting(monkeypatch, name: str) -> list:
     return calls
 
 
+def returns(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.<name>`` by a wrapper that logs what each call
+    returns."""
+    results = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return results
+
+
 class TestOracleWarmStarts:
-    """The oracle re-solves each assignment from the last optimal basis."""
+    """The oracle prices each assignment by the last optimal basis's duals
+    and re-solves those it cannot prune from that basis."""
 
     # Seeds 54, 43 and 5 draw dc_det, dc_robust and dtlr_robust models whose
     # first 31, 11 and 7 assignments are infeasible, so no warm basis exists
@@ -610,23 +625,74 @@ class TestOracleWarmStarts:
     def test_corrupted_warm_answer_is_solved_cold(self, monkeypatch,
                                                   corruption):
         ir = planning_model(5)
-        status, objective, statuses = cold_enumeration(ir)
+        status, objective, _ = cold_enumeration(ir)
         warm_step = solve_module._dual_simplex
+        cold_step = solve_module._cold_solve
+        events = []
 
         def corrupted(warm, b):
             answer = warm_step(warm, b)
             if answer is None or answer[0] != OPTIMAL:
+                events.append("warm")
                 return answer
+            events.append("corrupted")
             y = answer[1]
             if corruption == "point":
                 return OPTIMAL, 1.5 * y + 0.5
             return INFEASIBLE, warm.flip * warm.tableau[0, warm.identity]
 
+        def cold(*args):
+            answer = cold_step(*args)
+            events.append("cold " + answer[0])
+            return answer
+
         monkeypatch.setattr(solve_module, "_dual_simplex", corrupted)
-        cold = counting(monkeypatch, "_cold_solve")
+        monkeypatch.setattr(solve_module, "_cold_solve", cold)
         assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
-        # Every feasible assignment had its warm answer refused.
-        assert len(cold) >= statuses.count(OPTIMAL)
+        # After the first feasible assignment, every corrupted warm answer
+        # is refused and solved cold, and nothing else is: with the
+        # uncorrupted warm answers left out, the calls alternate.
+        later = [e for e in events[events.index("cold optimal") + 1:]
+                 if e != "warm"]
+        assert later and len(later) % 2 == 0
+        assert set(later[0::2]) == {"corrupted"}
+        assert all(e.startswith("cold") for e in later[1::2])
+
+    # Seed 0 (dc_robust) would lose its optimum if the bound dropped the
+    # negative reduced costs, seed 5 (dtlr_robust) if it kept duals of the
+    # wrong sign.
+    @pytest.mark.parametrize("seed, scale", [(0, 10.0), (5, -1.0)])
+    def test_corrupted_duals_never_prune_the_optimum(self, monkeypatch,
+                                                     seed, scale):
+        """The pruning bound holds for any duals: scaled duals break
+        dual feasibility and negated ones every row's sign."""
+        ir = planning_model(seed)
+        status, objective, _ = cold_enumeration(ir)
+        cold_step = solve_module._cold_solve
+
+        def corrupted(*args):
+            answer = cold_step(*args)
+            if answer[2] is not None:
+                answer[2].cost = scale * answer[2].cost
+            return answer
+
+        monkeypatch.setattr(solve_module, "_cold_solve", corrupted)
+        bounds = counting(monkeypatch, "_DualBound")
+        assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
+        assert bounds
+
+    def test_every_assignment_is_pruned_solved_or_rhs_infeasible(
+            self, monkeypatch):
+        ir = planning_model(5)
+        rhs = returns(monkeypatch, solve_module._StandardForm, "rhs")
+        pruned = returns(monkeypatch, solve_module._DualBound, "prunes")
+        solved = counting(monkeypatch, "_assignment")
+        assert oracle_solve(ir, ORACLE).is_optimal
+        total = 2 ** len(ir.free_binaries())
+        assert len(rhs) == total
+        assert (sum(pruned) + len(solved)
+                + sum(b is None for b in rhs)) == total
+        assert sum(pruned) > 0 and len(solved) < total
 
     def test_objective_is_read_at_every_call(self):
         ir = planning_model(5)

@@ -268,6 +268,13 @@ class TestRadiationLogFit:
         assert fit.flux_fit.lo == pytest.approx(0.75 * 2.5e-9 * 273.0 ** 4)
         assert fit.flux_fit.hi == pytest.approx(0.75 * 2.5e-9 * 373.0 ** 4)
 
+    def test_equal_arguments_share_one_fit(self):
+        fit = radiation_log_fit(0.75, 2.5e-9, 273.0, 373.0)
+        assert radiation_log_fit(0.75, 2.5e-9, 273.0, 373.0) is fit
+        assert radiation_log_fit(0.75, 2.5e-9, 273.0, 380.0) is not fit
+        assert radiation_log_fit.__wrapped__(0.75, 2.5e-9, 273.0,
+                                             373.0) == fit
+
     def test_domain(self):
         with pytest.raises(ValueError):
             radiation_log_fit(0.75, 2.5e-9, t_lo=300.0, t_hi=300.0)
