@@ -46,17 +46,16 @@ from .thermal import line_convection, radiation_log_fit
 from .uncertainty import RobustParams, robust_margin
 
 MODES = ("dc_det", "dc_robust", "dtlr_robust")
-DEFAULT_SQUARE_CUTS = 25
-DEFAULT_ANGLE_SPAN = 1.2          # rad, disjunction coverage for DC flow
-TRIG_WINDOW = 0.6                 # rad, half range of the trig fits
+SQUARE_CUTS = 25                  # tangents of current**2 per line, period
+ANGLE_SPAN = 1.2                  # rad, disjunction coverage for DC flow
 INTEGRALITY_TOL = 1e-6
 OBJECTIVE_REL_TOL = 1e-6
 
 
 @dataclass
 class VarMap:
-    """Variable ids of the build decisions, dispatch, flows, angles and
-    temperatures."""
+    """Variable ids of the build decisions, dispatch, flows, angles,
+    temperatures and cosine sides."""
 
     model: ModelIR
     mode: str
@@ -67,6 +66,7 @@ class VarMap:
     angle: dict[tuple[str, str], int] = field(default_factory=dict)
     angle_diff: dict[tuple[str, str], int] = field(default_factory=dict)
     temperature: dict[tuple[str, str], int] = field(default_factory=dict)
+    cos_side: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
 def reference_bus(case: CaseSystem) -> str:
@@ -112,10 +112,8 @@ def _ac_flow_bound(line: LineSpec, trig: TrigSegments) -> float:
     return h * (s_sin * line.susceptance + s_cos * line.conductance)
 
 
-def build_igtep(case: CaseSystem, params: RobustParams | None, mode: str, *,
-                n_square_cuts: int = DEFAULT_SQUARE_CUTS,
-                angle_span: float = DEFAULT_ANGLE_SPAN,
-                ) -> tuple[ModelIR, VarMap]:
+def build_igtep(case: CaseSystem, params: RobustParams | None,
+                mode: str) -> tuple[ModelIR, VarMap]:
     """Assemble the MILP for one case and mode.
 
     ``params`` may be omitted only in ``dc_det`` mode.  The returned model
@@ -177,15 +175,14 @@ def build_igtep(case: CaseSystem, params: RobustParams | None, mode: str, *,
 
     # -- line flow model ---------------------------------------------------
     if mode == "dtlr_robust":
-        trig = trig_segments(TRIG_WINDOW)
+        trig = trig_segments()
         ir.metadata["certificates"]["trig"] = {
             "cos_max_rel_err": trig.cos_max_rel_err,
             "cos_max_abs_err": trig.cos_max_abs_err,
             "sin_max_rel_err": trig.sin.max_rel_err,
             "sin_max_abs_err": trig.sin.max_abs_err,
         }
-        _build_thermal_flows(case, params, ir, vm, trig, n_square_cuts,
-                             big_m_log)
+        _build_thermal_flows(case, params, ir, vm, trig, big_m_log)
     else:
         for d in case.periods:
             for c in case.lines:
@@ -198,7 +195,7 @@ def build_igtep(case: CaseSystem, params: RobustParams | None, mode: str, *,
                     tag = f"switch[{c.id},{d.id}]"
                     frag = gadget_switched_dc_flow(
                         ir, vm.line_built[c.id], pf, c.susceptance, a_s, a_r,
-                        c.flow_limit, tag, window=angle_span)
+                        c.flow_limit, tag, window=ANGLE_SPAN)
                     big_m_log[f"{tag}.ohm_relax"] = frag.big_m["ohm_relax"]
                     ir.metadata["relax_rows"].append(
                         (f"{tag}.ohm_hi", vm.line_built[c.id]))
@@ -234,7 +231,7 @@ def build_igtep(case: CaseSystem, params: RobustParams | None, mode: str, *,
 
 
 def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
-                         vm: VarMap, trig: TrigSegments, n_square_cuts: int,
+                         vm: VarMap, trig: TrigSegments,
                          big_m_log: dict[str, float]):
     """Per line and period: linearized AC flow, current, heat balance."""
     phi_omega = params.phi * params.omega
@@ -265,6 +262,7 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             ir.add_row(f"adiff_def[{tag}]",
                        {x: 1.0, a_s: -1.0, a_r: 1.0}, EQ, 0.0)
             sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
+            vm.cos_side[key] = sel.side
 
             # Linearized AC flow G*(1 - cos) + beta*sin of the angle
             # difference; with the cosine surrogate 1 + s*x - 2s*(l*x) the
@@ -304,8 +302,7 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             cur = ir.add_variable(f"current[{tag}]", CONTINUOUS, 0.0, x_ac)
             ir.add_row(f"cur_over_fwd[{tag}]", {cur: 1.0, pf: -1.0}, GE, 0.0)
             ir.add_row(f"cur_over_rev[{tag}]", {cur: 1.0, pf: 1.0}, GE, 0.0)
-            sq = gadget_square_cuts(ir, cur, x_ac, n_square_cuts,
-                                    f"cur[{tag}]")
+            sq = gadget_square_cuts(ir, cur, x_ac, SQUARE_CUTS, f"cur[{tag}]")
             c2 = c.resistance_per_meter * i_base * i_base   # W/m per (p.u.)^2
             sq_gaps[f"{c.id},{d.id}"] = c2 * sq.big_m["square_gap"]
 
@@ -505,8 +502,7 @@ def hbe_residual_audit(plan: PlanResult, case: CaseSystem) -> dict[tuple[str, st
     return residuals
 
 
-def hbe_certificate_bound(case: CaseSystem, params: RobustParams,
-                          n_square_cuts: int = DEFAULT_SQUARE_CUTS,
+def hbe_certificate_bound(case: CaseSystem, params: RobustParams
                           ) -> dict[tuple[str, str], float]:
     """Admissible positive heat-balance residual per line and period.
 
@@ -516,14 +512,14 @@ def hbe_certificate_bound(case: CaseSystem, params: RobustParams,
     convection cap, one on the solar margin).  The robust tightening terms
     only push residuals down, so they are dropped from the bound.
     """
-    trig = trig_segments(TRIG_WINDOW)
+    trig = trig_segments()
     i_base = case.current_base
     bounds: dict[tuple[str, str], float] = {}
     for d in case.periods:
         for c in case.lines:
             weather = d.weather[c.id]
             x_ac = _ac_flow_bound(c, trig)
-            spacing = x_ac / (n_square_cuts - 1)
+            spacing = x_ac / (SQUARE_CUTS - 1)
             c2 = c.resistance_per_meter * i_base * i_base
             sq_gap = c2 * (spacing / 2.0) ** 2
             eps = c.conductor.emissivity

@@ -170,8 +170,9 @@ def _cmd_sweep(args) -> int:
     case = _load(args)
     spec = SweepSpec(peaks=_parse_csv(args.peaks, "peak", float),
                      modes=_parse_csv(args.mode, "mode"))
-    params = _robust_params(
-        args, "dc_det" if set(spec.modes) == {"dc_det"} else spec.modes[0])
+    params = None
+    for mode in spec.modes:    # every mode, before any row is solved
+        params = _robust_params(args, mode)
     rows = run_sweep(case, params, spec, _solver_config(args),
                      parallel=not args.serial)
     print(sweep_table(rows))

@@ -159,13 +159,6 @@ class TrigSegments:
     def cos_max_abs_err(self) -> float:
         return max(self.cos_neg.max_abs_err, self.cos_pos.max_abs_err)
 
-    def cos_value(self, x: float) -> float:
-        seg = self.cos_neg if x < 0 else self.cos_pos
-        return seg.value(x)
-
-    def sin_value(self, x: float) -> float:
-        return self.sin.value(x)
-
     def attach_cos_selection(self, ir: ModelIR, x: int, tag: str) -> CosSelection:
         """Emit the side-selection rows for one angle-difference variable.
 

@@ -141,16 +141,8 @@ class CaseSystem:
         return tuple(c for c in self.lines if c.candidate)
 
     @property
-    def existing_lines(self) -> tuple[LineSpec, ...]:
-        return tuple(c for c in self.lines if not c.candidate)
-
-    @property
     def candidate_generators(self) -> tuple[GeneratorSpec, ...]:
         return tuple(g for g in self.generators if g.candidate)
-
-    @property
-    def existing_generators(self) -> tuple[GeneratorSpec, ...]:
-        return tuple(g for g in self.generators if not g.candidate)
 
     @property
     def current_base(self) -> float:

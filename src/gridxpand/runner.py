@@ -6,16 +6,17 @@ the result being studied.  Rows run in a process pool; each worker rescales
 the case, builds, solves and extracts on its own copy, so a crash or solver
 failure is recorded in that row and never aborts the sweep.
 
-Thermal plans on the external backend start from an incumbent, in the
-spirit of RINS (Danna, Rothberg & Le Pape, 2005): the cheaper ``dc_robust``
-plan fixes the build choices of a thermal sub-MIP solved at a loose gap,
-and its solution is the MIP start of the full solve.  Without it HiGHS
-proves a tight root bound early but finds good incumbents late.
+Thermal plans on the external backend start from an incumbent: the
+cheaper ``dc_robust`` plan fixes every binary of the thermal model (its
+build choices, and each cosine side to the sign of its angle difference),
+the one LP that is left gives a feasible point, and that point is the MIP
+start of the full solve.  Without it HiGHS proves a tight root bound early
+but finds good incumbents late.
 
 Static-rating solves (``dc_det``, ``dc_robust``, also as the first seed
 stage) run without HiGHS's sub-MIP heuristics: root rounding already finds
 their optimum, and RINS, RENS and root reduced cost then took most of the
-search.  The thermal solves keep them, because there they pay off.
+search.  The full thermal solve keeps them, because there they pay off.
 
 Result documents are plain data with sorted keys and no timestamps,
 runtimes or solver statistics, so identical inputs and backend give
@@ -40,7 +41,6 @@ from .solve import SolveConfig, external_solve, solve
 from .uncertainty import RobustParams
 
 DISPLAY_COST_UNIT = 1e7            # tables print $ x 10^7
-SEED_MIP_GAP = 1e-2                # gap of the fixed-build thermal sub-solve
 SEED_TIME_SHARE = 0.25             # of the time limit, for the seed stages
 
 
@@ -49,10 +49,10 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     """Build, solve and extract one case in one mode.
 
     A ``dtlr_robust`` solve on the external backend is seeded in three
-    steps: solve ``dc_robust`` on the same case, parameters and gap, fix its
-    build and unit choices in the thermal model and solve the rest at
-    ``SEED_MIP_GAP``, then pass that solution as a MIP start to the full
-    thermal solve at ``config.mip_gap``.  The seed stages spend at most
+    steps: solve ``dc_robust`` on the same case, parameters and gap, solve
+    the thermal model with every binary fixed by that plan (an LP, see
+    :func:`_thermal_start`), then pass its solution as a MIP start to the
+    full thermal solve at ``config.mip_gap``.  The seed stages spend at most
     ``SEED_TIME_SHARE`` of ``config.time_limit`` and the full solve gets
     what is left, so ``plan.audit["runtime_s"]`` (all stages) stays within
     the limit.  If a stage finds no plan, the full solve runs cold.  The
@@ -107,11 +107,13 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
                    config: SolveConfig, budget: float) -> np.ndarray | None:
     """A feasible point of the thermal model ``vm`` or ``None``.
 
-    Solves ``dc_robust`` at ``config.mip_gap``, pins the thermal model's
-    ``build[*]``/``unit[*]`` binaries to that plan, and solves the rest at
-    ``SEED_MIP_GAP``; both solves share ``budget`` seconds.  The
-    ``dc_robust`` solve runs without sub-MIP heuristics, as in
-    :func:`run_plan`.
+    Solves ``dc_robust`` at ``config.mip_gap`` without sub-MIP heuristics,
+    as in :func:`run_plan`.  Then it pins the thermal model's
+    ``build[*]``/``unit[*]`` binaries to that plan and each
+    ``trig[l,d].cos_side`` to the sign of the plan's angle difference
+    ``angle[from,d] - angle[to,d]``, and solves the LP that is left.  Both
+    solves share ``budget`` seconds; if either finds no point, there is no
+    start.
     """
     t0 = time.perf_counter()
     dc_ir, dc_vm = build_igtep(case, params, "dc_robust")
@@ -126,10 +128,15 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
         for key, idx in thermal.items():
             bit = float(round(dc.values[dc_ids[key]]))
             pinned[idx] = (bit, bit)
-    sub = external_solve(vm.model, replace(config, time_limit=left,
-                                           mip_gap=SEED_MIP_GAP),
-                         bounds_override=pinned)
-    return sub.values
+    for c in case.lines:
+        for d in case.periods:
+            diff = (dc.values[dc_vm.angle[c.from_bus, d.id]]
+                    - dc.values[dc_vm.angle[c.to_bus, d.id]])
+            side = 1.0 if diff >= 0.0 else 0.0
+            pinned[vm.cos_side[c.id, d.id]] = (side, side)
+    lp = external_solve(vm.model, replace(config, time_limit=left),
+                        bounds_override=pinned)
+    return lp.values
 
 
 def plan_document(plan: PlanResult) -> dict:

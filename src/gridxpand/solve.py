@@ -130,10 +130,6 @@ class Solution:
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
     def value(self, ir: ModelIR, name: str) -> float:
         if self.values is None:
             raise SolverError(f"no solution values available ({self.status})")

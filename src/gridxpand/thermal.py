@@ -3,11 +3,11 @@
 Everything here works per unit length of conductor (W/m); callers convert
 total line resistance to ohms-per-meter before entering.  The balance pits
 ohmic and solar gains against forced convection (two correlation branches,
-the larger governs), radiation and, where a caller supplies a coefficient,
-natural convection.  On top of the exact physics sit two oracles used to
-validate the planning model — the steady-state temperature for a given
-current, and the ampacity for a given temperature ceiling — plus the
-log-domain linearization of the radiation term that the MILP consumes.
+the larger governs) and radiation.  On top of the exact physics sit two
+oracles used to validate the planning model — the steady-state temperature
+for a given current, and the ampacity for a given temperature ceiling —
+plus the log-domain linearization of the radiation term that the MILP
+consumes.
 """
 
 from __future__ import annotations
@@ -157,13 +157,6 @@ def forced_convection(film_coeff: float, temperature: float,
                       ambient_temp: float) -> float:
     _check_above_ambient(temperature, ambient_temp)
     return film_coeff * (temperature - ambient_temp)
-
-
-def natural_convection(no_wind_coeff: float, temperature: float,
-                       ambient_temp: float) -> float:
-    """Still-air loss ``f * dT^1.25``; evaluation only, never in the MILP."""
-    _check_above_ambient(temperature, ambient_temp)
-    return no_wind_coeff * (temperature - ambient_temp) ** 1.25
 
 
 def radiation_loss(emissivity: float, radiation_coeff: float,

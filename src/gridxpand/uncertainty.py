@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -147,12 +146,6 @@ class NormalApprox:
         if self.std_dev < 0.0:
             raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
 
-    def pdf(self, x: float) -> float:
-        if self.std_dev == 0.0:
-            raise ValueError("degenerate approximation has no density")
-        z = (x - self.mean) / self.std_dev
-        return normal_pdf(z) / self.std_dev
-
 
 def binomial_normal_approx(n: int, rho: float) -> NormalApprox:
     """Matched-moment normal surrogate: mean n*rho, std sqrt(n*rho*(1-rho))."""
@@ -173,53 +166,3 @@ def robust_margin(forecast: float, params: RobustParams) -> tuple[float, float]:
     tighten = params.phi * params.omega * forecast
     relax = params.mu * max(1.0, abs(forecast))
     return tighten, relax
-
-
-@dataclass(frozen=True)
-class RobustRow:
-    """One inequality ``lhs <= rhs_forecast`` with uncertain data, for audit.
-
-    ``certain`` holds coefficients known exactly; ``uncertain_coeffs`` are
-    forecast coefficients on continuous variables and ``uncertain_binaries``
-    forecast coefficients on binary variables.  Uncertain entries contribute
-    both to the linear part and under the protection square root.
-    """
-
-    certain: tuple[tuple[str, float], ...] = ()
-    uncertain_coeffs: tuple[tuple[str, float], ...] = ()
-    uncertain_binaries: tuple[tuple[str, float], ...] = ()
-    rhs_forecast: float = 0.0
-
-
-def conic_row_residual(row: RobustRow, solution: Mapping[str, float],
-                       params: RobustParams, omega: float | None = None) -> float:
-    """Signed slack of the full conic robust counterpart of ``row``.
-
-    Evaluates, at the given solution,
-
-        sum(a*x) + sum(f*n) + sum(p*m)
-        + phi * omega * sqrt(sum(f^2 n^2) + sum(p^2 m) + j^2)
-        - j - mu * max(1, |j|)
-
-    and returns the lhs-minus-rhs value: nonpositive means the protected row
-    is satisfied.  The applied planning constraints use the collapsed linear
-    surrogate; this evaluator exists so solutions can be audited against the
-    uncollapsed square-root form.  ``omega`` may be overridden, e.g. to audit
-    at a reliability beyond the RobustParams domain.
-    """
-    w = params.omega if omega is None else omega
-    linear = 0.0
-    radicand = row.rhs_forecast * row.rhs_forecast
-    for name, coef in row.certain:
-        linear += coef * solution[name]
-    for name, f in row.uncertain_coeffs:
-        n_val = solution[name]
-        linear += f * n_val
-        radicand += f * f * n_val * n_val
-    for name, p in row.uncertain_binaries:
-        m_val = solution[name]
-        linear += p * m_val
-        radicand += p * p * m_val
-    protection = params.phi * w * math.sqrt(radicand)
-    relax = params.mu * max(1.0, abs(row.rhs_forecast))
-    return linear + protection - row.rhs_forecast - relax

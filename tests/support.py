@@ -184,7 +184,7 @@ def minmax_output(ir: ModelIR, out: int) -> tuple[float, float] | None:
     """(min, max) of one variable over the model, or None if infeasible."""
     lo = probe(ir, {out: 1.0})
     hi = probe(ir, {out: -1.0})
-    if not (lo.is_optimal and hi.is_optimal):
+    if not (lo.status == "optimal" and hi.status == "optimal"):
         return None
     return lo.objective, -hi.objective
 
@@ -270,7 +270,7 @@ def scan_governing_convection(rng: np.random.Generator, n: int) -> list[str]:
                                                         upper=value)
         label = f"conv #{k} (k'={k1:.3f}, k''={k2:.3f}, T={temp:.2f})"
         best = probe(ir, {ir.variable("conv[E,p1]").index: -1.0})
-        if not best.is_optimal:
+        if best.status != "optimal":
             bad.append(f"{label}: max-heat probe {best.status}")
             continue
         want = ((1.0 - params.phi * params.omega) * max(k1, k2)

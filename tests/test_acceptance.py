@@ -260,7 +260,7 @@ def test_criterion_7_oracle_agreement():
         orc = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
         if ext.status == orc.status:
             status_agree += 1
-        if ext.is_optimal and orc.is_optimal:
+        if ext.status == "optimal" and orc.status == "optimal":
             n_optimal += 1
             rel = (abs(ext.objective - orc.objective)
                    / max(1.0, abs(orc.objective)))

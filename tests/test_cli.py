@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gridxpand
 from gridxpand import save_case
 from gridxpand.cli import main
 from support import toy_case
@@ -131,6 +134,14 @@ class TestSweep:
         assert code == 2
         assert "robust parameters" in capsys.readouterr().err
 
+    def test_every_mode_is_checked_before_solving(self, toy_path, capsys):
+        code = main(["sweep", "--case", toy_path, "--peaks", "80",
+                     "--mode", "dc_det,dc_robust", "--serial"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'dc_robust' needs robust parameters" in captured.err
+        assert captured.out == ""
+
     def test_error_rows_flip_exit_code(self, toy_dry_path, tmp_path, capsys):
         # weather-free case in thermal mode: each row records a build
         # error, the sweep completes, and the exit code reports failure
@@ -199,9 +210,14 @@ class TestFit:
 
 class TestEntryPoint:
     def test_module_invocation(self, six_bus_path):
+        # the child imports gridxpand from where this process found it
+        src = str(Path(gridxpand.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gridxpand", "validate",
              "--case", six_bus_path],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "ok" in proc.stdout

@@ -136,12 +136,6 @@ class TestTrigSegments:
         assert trig.cos_max_abs_err == pytest.approx(
             max(trig.cos_neg.max_abs_err, trig.cos_pos.max_abs_err))
 
-    def test_cos_value_picks_side(self):
-        trig = trig_segments()
-        assert trig.cos_value(-0.3) == pytest.approx(1.0 + 0.24 * -0.3)
-        assert trig.cos_value(0.3) == pytest.approx(1.0 - 0.24 * 0.3)
-        assert trig.sin_value(0.2) == pytest.approx(0.19)
-
     def test_custom_window_stays_continuous_and_odd(self):
         trig = trig_segments(half_range=0.4)
         assert trig.cos_neg.value(0.0) == pytest.approx(trig.cos_pos.value(0.0))
@@ -171,7 +165,7 @@ class TestTrigSegments:
             ir.add_row("compose", coeffs, EQ, sel.constant)
             span = support.minmax_output(ir, cos_expr)
             assert span is not None
-            want = trig.cos_value(x_val)
+            want = (trig.cos_neg if x_val < 0 else trig.cos_pos).value(x_val)
             assert span[0] == pytest.approx(want, abs=1e-8)
             assert span[1] == pytest.approx(want, abs=1e-8)
 

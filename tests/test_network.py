@@ -116,9 +116,7 @@ class TestLookups:
     def test_partitions(self):
         case = toy_case()
         assert [c.id for c in case.candidate_lines] == ["L"]
-        assert [c.id for c in case.existing_lines] == ["E"]
         assert [g.id for g in case.candidate_generators] == ["U1"]
-        assert [g.id for g in case.existing_generators] == ["EG"]
 
 
 class TestValidateCase:

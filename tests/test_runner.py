@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestRunPlan:
         assert dc.audit["solver"]["sub_mips"] is False
         calls.clear()
         thermal = run_plan(toy_case(), STANDARD_ROBUST, "dtlr_robust", FAST)
-        # the dc_robust seed stage, the pinned sub-solve, the full solve
+        # the dc_robust seed stage, the pinned LP, the full solve
         assert calls == [("external_solve", False), ("external_solve", True),
                          ("solve", True)]
         assert thermal.audit["solver"]["sub_mips"] is True
@@ -113,7 +114,7 @@ class TestSeededThermalRuns:
                                                time_limit=60.0))
             assert plan.status == ref.status
             n_seeded += plan.audit["solver"]["seeded"]
-            if ref.is_optimal:
+            if ref.status == "optimal":
                 n_optimal += 1
                 assert abs(plan.objective - ref.objective) <= \
                     1e-6 * max(1.0, abs(ref.objective))
@@ -135,7 +136,7 @@ class TestSeededThermalRuns:
         cold = external_solve(ir, FAST)
         ref = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
         assert plan.status == cold.status == ref.status
-        if not ref.is_optimal:
+        if ref.status != "optimal":
             return
         for objective in (plan.objective, cold.objective):
             assert abs(objective - ref.objective) <= \
@@ -144,6 +145,39 @@ class TestSeededThermalRuns:
         residuals = hbe_residual_audit(plan, case)
         assert residuals
         assert all(r <= bounds[key] + 1e-9 for key, r in residuals.items())
+
+    def test_seed_pins_every_free_binary(self, monkeypatch):
+        """After ``dc_robust`` the seed is one LP: its bounds fix every
+        binary the thermal model leaves free, each cosine side to the sign
+        of the ``dc_robust`` angle difference."""
+        calls = []
+        inner = runner_module.external_solve
+
+        def recording(ir, config, **kwargs):
+            sol = inner(ir, config, **kwargs)
+            calls.append((ir, kwargs.get("bounds_override"), sol))
+            return sol
+        monkeypatch.setattr(runner_module, "external_solve", recording)
+        case = toy_case()
+        plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
+        assert plan.audit["solver"]["seeded"] is True
+        (dc_ir, no_pins, dc), (ir, pinned, seed) = calls
+        assert no_pins is None and seed.status == "optimal"
+        free = {v.index for v in ir.variables
+                if v.kind == "binary" and not v.is_fixed}
+        assert free <= set(pinned)
+        assert all(lo == hi for lo, hi in pinned.values())
+        sides = {v.index for v in ir.variables
+                 if v.name.endswith(".cos_side")}
+        assert len(sides) == len(case.lines) * len(case.periods)
+        assert sides <= free
+        for c in case.lines:
+            for d in case.periods:
+                diff = (dc.value(dc_ir, f"angle[{c.from_bus},{d.id}]")
+                        - dc.value(dc_ir, f"angle[{c.to_bus},{d.id}]"))
+                idx = ir.variable(f"trig[{c.id},{d.id}].cos_side").index
+                assert pinned[idx] == ((1.0, 1.0) if diff >= 0.0
+                                       else (0.0, 0.0))
 
     def test_worse_start_is_overruled(self, monkeypatch):
         # On small draws the seed is usually optimal already; this start
@@ -193,7 +227,7 @@ class TestStaticSolves:
             ref = oracle_solve(ir, SolveConfig(backend="oracle",
                                                time_limit=60.0))
             assert plan.status == ref.status
-            if ref.is_optimal:
+            if ref.status == "optimal":
                 n_optimal += 1
                 assert abs(plan.objective - ref.objective) <= \
                     1e-6 * max(1.0, abs(ref.objective))
@@ -229,15 +263,26 @@ def assert_matches_default_heuristics(case, params, mode):
 class TestQuietSolves:
     @pytest.mark.parametrize("binding", ["highs", "milp"])
     def test_no_solver_output_on_stdout(self, binding, capfd, monkeypatch):
-        """HiGHS prints a raw MIP message while solving this draw."""
+        """HiGHS prints a raw MIP message while solving this draw's thermal
+        model at a 1% gap with the ``dc_robust`` builds pinned."""
         if binding == "milp":
             monkeypatch.setattr(solve_module, "_highs", None)
         rng = np.random.default_rng(778899)
         draws = [random_instance(rng) for _ in range(22)]
         case, params, mode = draws[21]
         assert mode == "dtlr_robust"
-        plan = run_plan(case, params, mode, FAST)
-        assert plan.status == "optimal"
+        ir, vm = build_igtep(case, params, mode)
+        dc_ir, dc_vm = build_igtep(case, params, "dc_robust")
+        dc = external_solve(dc_ir, FAST, sub_mips=False)
+        pinned = {}
+        for thermal, dc_ids in ((vm.line_built, dc_vm.line_built),
+                                (vm.unit_built, dc_vm.unit_built)):
+            for key, idx in thermal.items():
+                bit = float(round(dc.values[dc_ids[key]]))
+                pinned[idx] = (bit, bit)
+        sol = external_solve(ir, replace(FAST, mip_gap=1e-2),
+                             bounds_override=pinned)
+        assert sol.status == "optimal"
         assert capfd.readouterr().out == ""
 
 

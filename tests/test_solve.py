@@ -239,7 +239,7 @@ class TestExternalSolve:
     def test_known_milp(self):
         ir = known_milp()
         sol = external_solve(ir)
-        assert sol.is_optimal
+        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-6.0)
         assert sol.value(ir, "y") == pytest.approx(1.0)
         assert sol.value(ir, "z") == pytest.approx(1.0)
@@ -259,7 +259,7 @@ class TestExternalSolve:
     def test_start_never_changes_the_optimum(self, start):
         ir = known_milp()
         sol = external_solve(ir, start=np.array(start))
-        assert sol.is_optimal
+        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-6.0)
         assert list(sol.values) == pytest.approx([0.0, 1.0, 1.0])
 
@@ -267,14 +267,14 @@ class TestExternalSolve:
         ir = known_milp()
         y = ir.variable("y").index
         sol = external_solve(ir, bounds_override={y: (0.0, 0.0)})
-        assert sol.is_optimal
+        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-5.0)   # x and z instead
         assert sol.value(ir, "y") == 0.0
         assert ir.variable("y").upper == 1.0          # the model is untouched
 
     def test_empty_model(self):
         sol = external_solve(ModelIR())
-        assert sol.is_optimal
+        assert sol.status == "optimal"
         assert sol.objective == 0.0
         assert sol.values.shape == (0,)
 
@@ -291,7 +291,7 @@ class TestExternalSolve:
         ir.add_row("cap", {x: 1.0}, GE, 2.0)
         sol = external_solve(ir)
         assert sol.status == INFEASIBLE
-        assert not sol.is_optimal
+        assert sol.status != "optimal"
 
 
 class TestHighsBinding:
@@ -469,7 +469,7 @@ class TestOracleSolve:
             orc = oracle_solve(ir, SolveConfig(backend="oracle",
                                                time_limit=30.0))
             assert ext.status == orc.status
-            if ext.is_optimal:
+            if ext.status == "optimal":
                 assert orc.objective == pytest.approx(ext.objective,
                                                       rel=1e-6, abs=1e-6)
                 assert_point_feasible(ir, orc.values)
@@ -483,7 +483,7 @@ class TestOracleSolve:
         ir.objective = {y: 5.0, x: 1.0}
         ir.add_row("either", {x: 1.0, y: 4.0}, GE, 4.0)
         sol = oracle_solve(ir)
-        assert sol.is_optimal
+        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(4.0)   # x=4 beats y at cost 5
         assert sol.value(ir, "y") == 0.0
         assert sol.backend == "oracle"
@@ -521,7 +521,7 @@ class TestOracleSolve:
         ir.objective = {free: 1.0}
         sol = oracle_solve(ir, SolveConfig(backend="oracle",
                                            binary_enumeration_cap=1))
-        assert sol.is_optimal
+        assert sol.status == "optimal"
         assert sol.objective == 0.0
 
     def test_time_limit_reports_incumbent(self):
@@ -617,7 +617,7 @@ class TestOracleWarmStarts:
         ir = planning_model(5)
         _, _, statuses = cold_enumeration(ir)
         cold = counting(monkeypatch, "_cold_solve")
-        assert oracle_solve(ir, ORACLE).is_optimal
+        assert oracle_solve(ir, ORACLE).status == "optimal"
         # The leading infeasible assignments and the first feasible one.
         assert len(cold) == statuses.index(OPTIMAL) + 1
 
@@ -687,7 +687,7 @@ class TestOracleWarmStarts:
         rhs = returns(monkeypatch, solve_module._StandardForm, "rhs")
         pruned = returns(monkeypatch, solve_module._DualBound, "prunes")
         solved = counting(monkeypatch, "_assignment")
-        assert oracle_solve(ir, ORACLE).is_optimal
+        assert oracle_solve(ir, ORACLE).status == "optimal"
         total = 2 ** len(ir.free_binaries())
         assert len(rhs) == total
         assert (sum(pruned) + len(solved)

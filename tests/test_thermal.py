@@ -16,7 +16,7 @@ from gridxpand import (ConductorSpec, WeatherRecord, ampacity,
                        line_convection, radiation_log_fit, radiation_loss,
                        resistance_at_temperature, reynolds_number,
                        steady_state_temperature)
-from gridxpand.thermal import TEMPERATURE_CAP, natural_convection
+from gridxpand.thermal import TEMPERATURE_CAP, forced_convection
 from support import DEFAULT_CONDUCTOR, DEFAULT_WEATHER
 
 R_PER_M = 2.0e-4     # ohm/m at the temperature ceiling
@@ -87,18 +87,13 @@ class TestLossTerms:
         assert radiation_loss(0.75, 2.5e-9, 298.0, 298.0) == 0.0
 
     def test_forced_convection_is_linear(self):
-        from gridxpand.thermal import forced_convection
         assert forced_convection(3.5, 350.0, 300.0) == pytest.approx(175.0)
-
-    def test_natural_convection_exponent(self):
-        assert natural_convection(2.0, 314.0, 298.0) == pytest.approx(
-            2.0 * 16.0 ** 1.25, rel=1e-14)
 
     def test_below_ambient_rejected(self):
         with pytest.raises(ValueError, match="below ambient"):
             radiation_loss(0.75, 2.5e-9, 290.0, 298.0)
         with pytest.raises(ValueError, match="below ambient"):
-            natural_convection(1.0, 290.0, 298.0)
+            forced_convection(3.5, 290.0, 298.0)
 
 
 class TestResistanceModel:

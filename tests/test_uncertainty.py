@@ -1,4 +1,4 @@
-"""Quantiles, robust margins, and EV-fleet statistics against scipy/sympy."""
+"""Quantiles, robust margins, and EV-fleet statistics against scipy."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from gridxpand import (NormalApprox, RobustParams, binomial_normal_approx,
                        binomial_pmf, inverse_normal_cdf, normal_cdf,
                        normal_pdf, omega_from_reliability, robust_margin)
-from gridxpand.uncertainty import RobustRow, conic_row_residual
 
 
 class TestNormal:
@@ -171,18 +170,7 @@ class TestNormalApprox:
         approx = binomial_normal_approx(400, 0.3)
         assert approx.mean == pytest.approx(120.0)
         assert approx.std_dev == pytest.approx(math.sqrt(400 * 0.3 * 0.7))
-
-    def test_pdf_matches_scipy(self):
-        approx = binomial_normal_approx(400, 0.3)
-        for x in (100.0, 120.0, 140.0):
-            assert approx.pdf(x) == pytest.approx(
-                stats.norm.pdf(x, loc=120.0, scale=approx.std_dev), rel=1e-12)
-
-    def test_degenerate_has_no_density(self):
-        approx = binomial_normal_approx(10, 0.0)
-        assert approx.std_dev == 0.0
-        with pytest.raises(ValueError):
-            approx.pdf(0.0)
+        assert binomial_normal_approx(10, 0.0).std_dev == 0.0
 
     def test_rejects_negative_spread(self):
         with pytest.raises(ValueError):
@@ -192,72 +180,3 @@ class TestNormalApprox:
     def test_domain(self, args):
         with pytest.raises(ValueError):
             binomial_normal_approx(*args)
-
-
-class TestConicRowResidual:
-    """The uncollapsed square-root audit form against a sympy evaluation."""
-
-    def _sympy_residual(self, row, solution, params, omega):
-        import sympy
-
-        linear = sympy.Integer(0)
-        radicand = sympy.Rational(row.rhs_forecast) ** 2
-        for name, coef in row.certain:
-            linear += sympy.Rational(coef) * sympy.Rational(solution[name])
-        for name, f in row.uncertain_coeffs:
-            v = sympy.Rational(solution[name])
-            linear += sympy.Rational(f) * v
-            radicand += sympy.Rational(f) ** 2 * v ** 2
-        for name, p in row.uncertain_binaries:
-            v = sympy.Rational(solution[name])
-            linear += sympy.Rational(p) * v
-            radicand += sympy.Rational(p) ** 2 * v
-        expr = (linear + sympy.Rational(params.phi) * sympy.Rational(omega)
-                * sympy.sqrt(radicand)
-                - sympy.Rational(row.rhs_forecast)
-                - sympy.Rational(params.mu)
-                * sympy.Max(1, sympy.Abs(sympy.Rational(row.rhs_forecast))))
-        return float(expr.evalf(30))
-
-    def test_matches_symbolic_form(self):
-        params = RobustParams(phi=0.05, mu=0.01, reliability=0.05)
-        row = RobustRow(
-            certain=(("pf", -100.0),),
-            uncertain_coeffs=(("ev", 1.25),),
-            uncertain_binaries=(("built", 6.5),),
-            rhs_forecast=42.0)
-        solution = {"pf": 0.375, "ev": 12.0, "built": 1.0}
-        got = conic_row_residual(row, solution, params)
-        want = self._sympy_residual(row, solution, params, params.omega)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_random_rows_match_symbolic_form(self):
-        rng = np.random.default_rng(21)
-        params = RobustParams(phi=0.08, mu=0.02, reliability=0.1)
-        for _ in range(10):
-            row = RobustRow(
-                certain=tuple((f"c{k}", float(rng.uniform(-5, 5)))
-                              for k in range(int(rng.integers(0, 3)))),
-                uncertain_coeffs=tuple((f"f{k}", float(rng.uniform(-2, 2)))
-                                       for k in range(int(rng.integers(0, 3)))),
-                uncertain_binaries=tuple((f"b{k}", float(rng.uniform(0, 4)))
-                                         for k in range(int(rng.integers(0, 3)))),
-                rhs_forecast=float(rng.uniform(-30, 30)))
-            names = ([n for n, _ in row.certain]
-                     + [n for n, _ in row.uncertain_coeffs]
-                     + [n for n, _ in row.uncertain_binaries])
-            solution = {n: float(rng.uniform(-3, 3)) for n in names}
-            for n, _ in row.uncertain_binaries:
-                solution[n] = float(rng.integers(0, 2))
-            got = conic_row_residual(row, solution, params)
-            want = self._sympy_residual(row, solution, params, params.omega)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-    def test_protection_grows_with_omega(self):
-        params = RobustParams(phi=0.05, mu=0.01, reliability=0.05)
-        row = RobustRow(uncertain_coeffs=(("ev", 2.0),), rhs_forecast=10.0)
-        solution = {"ev": 3.0}
-        values = [conic_row_residual(row, solution, params, omega=w)
-                  for w in (0.0, 0.5, 1.0, 2.0, 3.0)]
-        assert values == sorted(values)
-        assert values[0] < values[-1]
