@@ -170,7 +170,13 @@ class TestNormalApprox:
         approx = binomial_normal_approx(400, 0.3)
         assert approx.mean == pytest.approx(120.0)
         assert approx.std_dev == pytest.approx(math.sqrt(400 * 0.3 * 0.7))
-        assert binomial_normal_approx(10, 0.0).std_dev == 0.0
+
+    def test_degenerate_has_no_density(self):
+        # A certain (rho in {0, 1}) fleet collapses to a point mass: no spread.
+        for rho, mean in ((0.0, 0.0), (1.0, 10.0)):
+            approx = binomial_normal_approx(10, rho)
+            assert approx.std_dev == 0.0
+            assert approx.mean == pytest.approx(mean)
 
     def test_rejects_negative_spread(self):
         with pytest.raises(ValueError):
