@@ -13,14 +13,15 @@ angles) and differ in how line capacity is modeled:
     relaxed by the infeasibility tolerance, all folded in numerically
     because forecasts are parameters.
 ``dtlr_robust``
-    Drops the static flow limits entirely.  Line capacity comes from the
-    conductor heat balance: a linearized AC flow (certified small-angle trig
-    segments) feeds a current magnitude, tangent cuts bound its square, and
-    robust-capped convection plus a log-domain radiation surrogate absorb
-    the heat.  Convection is one column per line and period on the
-    governing correlation branch, whose film coefficient is known at build
-    time, so no binary picks the branch.  Every binary-continuous product
-    goes through the exact product gadget and every big-M constant is
+    Drops the static flow limits entirely.  The flow is a linearized AC
+    flow (certified small-angle trig segments), and its capacity comes
+    from the conductor heat balance: tangent cuts of the squared current
+    against robust-capped governing convection and a log-domain radiation
+    surrogate.  Temperature has no cost and every loss rises with it, so
+    the balance is loosest at ``t_max`` and projects onto one number per
+    line and period, computed at build time: the rating ``|flow| <= R``
+    (:class:`LineRating`).  It bounds an existing line's flow column and
+    gates a candidate's flow by its build binary.  Every big-M constant is
     logged in the model metadata for post-solve auditing.
 
 Solutions come back through :func:`extract_plan`, which refuses fractional
@@ -36,13 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ExtractionError, ModelBuildError
 from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR
-from .linearize import (TrigSegments, gadget_binary_product,
-                        gadget_square_cuts, gadget_switched_dc_flow,
-                        trig_segments)
+from .linearize import TrigSegments, gadget_switched_dc_flow, trig_segments
 from .network import CaseSystem, LineSpec, validate_case
-from .thermal import line_convection, radiation_log_fit
+from .thermal import (RadiationLogFit, WeatherRecord, line_convection,
+                      radiation_log_fit)
 from .uncertainty import RobustParams, robust_margin
 
 MODES = ("dc_det", "dc_robust", "dtlr_robust")
@@ -52,10 +54,47 @@ INTEGRALITY_TOL = 1e-6
 OBJECTIVE_REL_TOL = 1e-6
 
 
+def _cut_points(upper: float) -> np.ndarray:
+    """Touch points of the tangent cuts of ``x**2`` on ``[0, upper]``."""
+    return np.linspace(0.0, upper, SQUARE_CUTS)
+
+
+@dataclass(frozen=True)
+class LineRating:
+    """Thermal rating of one line in one period, fixed at build time.
+
+    A built line's linear heat balance admits a current ``x`` (p.u.) at
+    conductor temperature ``T`` when ``c2 * env(x) <= budget - slope *
+    (t_max - T)`` and ``t_floor <= T <= t_max``.  ``env`` is the envelope of
+    the ``SQUARE_CUTS`` tangents of ``x**2`` on ``[0, cut_range]``; the
+    right side is the robust convection cap plus the radiation link minus
+    the solar margin.  Temperature has no cost and every loss rises with
+    it, so ``T = t_max`` is the loosest choice and the balance projects
+    exactly onto ``|flow| <= amps``.  ``amps`` is ``None`` when no
+    temperature balances even zero current.
+    """
+
+    amps: float | None
+    cut_range: float            # p.u.
+    c2: float                   # W/m per (p.u.)**2
+    budget: float               # W/m, heat budget at t_max
+    slope: float                # W/m per K
+    t_floor: float              # K
+    t_max: float                # K
+
+    def temperature(self, flow: float) -> float:
+        """Lowest temperature at which the linear balance admits ``|flow|``."""
+        points = _cut_points(self.cut_range)
+        need = self.c2 * float(np.max(2.0 * points * abs(flow)
+                                      - points * points))
+        t = self.t_max - (self.budget - need) / self.slope
+        return min(self.t_max, max(self.t_floor, t))
+
+
 @dataclass
 class VarMap:
-    """Variable ids of the build decisions, dispatch, flows, angles,
-    temperatures and cosine sides."""
+    """Variable ids of the build decisions, dispatch, flows, angles and
+    cosine sides, and the thermal rating of each line and period."""
 
     model: ModelIR
     mode: str
@@ -64,9 +103,8 @@ class VarMap:
     dispatch: dict[tuple[str, str], int] = field(default_factory=dict)
     flow: dict[tuple[str, str], int] = field(default_factory=dict)
     angle: dict[tuple[str, str], int] = field(default_factory=dict)
-    angle_diff: dict[tuple[str, str], int] = field(default_factory=dict)
-    temperature: dict[tuple[str, str], int] = field(default_factory=dict)
     cos_side: dict[tuple[str, str], int] = field(default_factory=dict)
+    ratings: dict[tuple[str, str], LineRating] = field(default_factory=dict)
 
 
 def reference_bus(case: CaseSystem) -> str:
@@ -233,7 +271,7 @@ def build_igtep(case: CaseSystem, params: RobustParams | None,
 def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                          vm: VarMap, trig: TrigSegments,
                          big_m_log: dict[str, float]):
-    """Per line and period: linearized AC flow, current, heat balance."""
+    """Per line and period: linearized AC flow under its thermal rating."""
     phi_omega = params.phi * params.omega
     if phi_omega >= 1.0:
         raise ModelBuildError(
@@ -258,7 +296,6 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             # Angle difference variable, constrained to the trig window.
             x = ir.add_variable(f"adiff[{tag}]", CONTINUOUS,
                                 -trig.half_range, trig.half_range)
-            vm.angle_diff[key] = x
             ir.add_row(f"adiff_def[{tag}]",
                        {x: 1.0, a_s: -1.0, a_r: 1.0}, EQ, 0.0)
             sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
@@ -273,7 +310,24 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                          sel.side_times_x: 2.0 * s_cos * c.conductance}
             x_ac = _ac_flow_bound(c, trig)
 
-            pf = ir.add_variable(f"flow[{tag}]", CONTINUOUS, -x_ac, x_ac)
+            c2 = c.resistance_per_meter * i_base * i_base   # W/m per (p.u.)^2
+            sq_gaps[tag] = c2 * ((x_ac / (SQUARE_CUTS - 1)) / 2.0) ** 2
+            fit = radiation_log_fit(c.conductor.emissivity,
+                                    weather.radiation_coeff,
+                                    min(273.0, weather.ambient_temp),
+                                    max(373.0, c.t_max))
+            rad_bands[tag] = fit.band
+            rating = _line_rating(c, weather, params, fit, x_ac, c2)
+            vm.ratings[key] = rating
+            if rating.amps is None:
+                # No temperature up to t_max balances even zero current: an
+                # existing line makes the model infeasible, a candidate
+                # stays unbuilt.
+                ir.add_row(f"unrated[{tag}]", {u: 1.0}, LE, 0.0)
+            amps = rating.amps or 0.0
+
+            cap = x_ac if c.candidate else amps
+            pf = ir.add_variable(f"flow[{tag}]", CONTINUOUS, -cap, cap)
             vm.flow[key] = pf
             if c.candidate:
                 # pf = u * ac_flow via disjunction; u=0 leaves the window
@@ -285,8 +339,8 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                     lo[var] = lo.get(var, 0.0) - coef
                 ir.add_row(f"acflow_hi[{tag}]", hi, LE, x_ac)
                 ir.add_row(f"acflow_lo[{tag}]", lo, GE, -x_ac)
-                ir.add_row(f"accap_hi[{tag}]", {pf: 1.0, u: -x_ac}, LE, 0.0)
-                ir.add_row(f"accap_lo[{tag}]", {pf: 1.0, u: x_ac}, GE, 0.0)
+                ir.add_row(f"accap_hi[{tag}]", {pf: 1.0, u: -amps}, LE, 0.0)
+                ir.add_row(f"accap_lo[{tag}]", {pf: 1.0, u: amps}, GE, 0.0)
                 big_m_log[f"acflow[{tag}].relax"] = x_ac
                 ir.metadata["relax_rows"].append((f"acflow_hi[{tag}]", u))
                 ir.metadata["relax_rows"].append((f"acflow_lo[{tag}]", u))
@@ -296,73 +350,31 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                     row[var] = row.get(var, 0.0) - coef
                 ir.add_row(f"acflow[{tag}]", row, EQ, 0.0)
 
-            # Current proxy: an envelope over |pf| is exact here because the
-            # heat balance only ever pushes the current downward, so no
-            # direction binary is spent on the absolute value.
-            cur = ir.add_variable(f"current[{tag}]", CONTINUOUS, 0.0, x_ac)
-            ir.add_row(f"cur_over_fwd[{tag}]", {cur: 1.0, pf: -1.0}, GE, 0.0)
-            ir.add_row(f"cur_over_rev[{tag}]", {cur: 1.0, pf: 1.0}, GE, 0.0)
-            sq = gadget_square_cuts(ir, cur, x_ac, SQUARE_CUTS, f"cur[{tag}]")
-            c2 = c.resistance_per_meter * i_base * i_base   # W/m per (p.u.)^2
-            sq_gaps[f"{c.id},{d.id}"] = c2 * sq.big_m["square_gap"]
 
-            # Temperature, gated by the build binary.
-            t_env = weather.ambient_temp
-            temp = ir.add_variable(f"temp[{tag}]", CONTINUOUS, 0.0, c.t_max)
-            vm.temperature[key] = temp
-            if c.candidate:
-                ir.add_row(f"tcap[{tag}]", {temp: 1.0, u: -c.t_max}, LE, 0.0)
-                ir.add_row(f"tfloor[{tag}]", {temp: 1.0, u: -t_env}, GE, 0.0)
-                tprod = gadget_binary_product(ir, u, temp, c.t_max,
-                                              f"utemp[{tag}]")
-                u_temp = {tprod.output: 1.0, u: -t_env}   # u*(T - T_env)
-            else:
-                ir.add_row(f"tfloor[{tag}]", {temp: 1.0}, GE, t_env)
-                u_temp = {temp: 1.0}                       # T - T_env via rhs
-            u_temp_rhs = 0.0 if c.candidate else t_env
-
-            # Governing forced convection under its robust cap.  The cap row
-            # bounds the column; a redundant finite bound on it made HiGHS
-            # search more branch-and-bound nodes.
-            k = line_convection(c.conductor, weather).governing
-            qconv = ir.add_variable(f"conv[{tag}]", CONTINUOUS, 0.0)
-            scale = (1.0 - phi_omega) * k
-            row = {qconv: 1.0}
-            for var, coef in u_temp.items():
-                row[var] = row.get(var, 0.0) - scale * coef
-            ir.add_row(f"convcap[{tag}]", row, LE,
-                       params.mu - scale * u_temp_rhs)
-
-            # Radiation through the log-domain link, gated by the binary.
-            eps = c.conductor.emissivity
-            kr = weather.radiation_coeff
-            t_lo = min(273.0, t_env)
-            t_hi = max(373.0, c.t_max)
-            fit = radiation_log_fit(eps, kr, t_lo, t_hi)
-            rad_bands[f"{c.id},{d.id}"] = fit.band
-            a_rad, b_rad = fit.link_coefficients(t_env)
-            qrad_cap = max(0.0, a_rad * c.t_max + b_rad) + fit.band
-            qrad = ir.add_variable(f"rad[{tag}]", CONTINUOUS, 0.0, qrad_cap)
-            if c.candidate:
-                ir.add_row(f"radcap[{tag}]",
-                           {qrad: 1.0, tprod.output: -a_rad, u: -b_rad},
-                           LE, 0.0)
-            else:
-                ir.add_row(f"radcap[{tag}]",
-                           {qrad: 1.0, temp: -a_rad}, LE, b_rad)
-
-            # Robust heat balance: ohmic plus the solar margin must fit in
-            # the capped losses.  The solar constant rides the build binary
-            # so an unbuilt line carries no balance.
-            qs = weather.solar_gain
-            solar_term = (qs + phi_omega * qs
-                          - params.mu * max(1.0, abs(qs)))
-            hbe = {sq.output: c2, qconv: -1.0, qrad: -1.0}
-            if c.candidate:
-                hbe[u] = solar_term
-                ir.add_row(f"hbe[{tag}]", hbe, LE, 0.0)
-            else:
-                ir.add_row(f"hbe[{tag}]", hbe, LE, -solar_term)
+def _line_rating(c: LineSpec, weather: WeatherRecord, params: RobustParams,
+                 fit: RadiationLogFit, x_ac: float, c2: float) -> LineRating:
+    """The robust heat balance of one built line and period, solved at
+    build time for its largest admissible current."""
+    phi_omega = params.phi * params.omega
+    t_env = weather.ambient_temp
+    # Governing forced convection under its robust cap.
+    scale = (1.0 - phi_omega) * line_convection(c.conductor, weather).governing
+    # Radiation through the log-domain link a*T + b.  Radiated power may
+    # not go negative, which sets the lowest admissible temperature.
+    a_rad, b_rad = fit.link_coefficients(t_env)
+    # Ohmic plus the solar margin must fit in the capped losses.
+    qs = weather.solar_gain
+    solar_term = qs + phi_omega * qs - params.mu * max(1.0, abs(qs))
+    budget = (scale * (c.t_max - t_env) + params.mu
+              + a_rad * c.t_max + b_rad - solar_term)
+    t_floor = max(t_env, -b_rad / a_rad)
+    amps = None
+    if t_floor <= c.t_max and budget >= 0.0:
+        points = _cut_points(x_ac)[1:]
+        amps = min(x_ac, float(np.min((budget / c2 + points * points)
+                                      / (2.0 * points))))
+    return LineRating(amps=amps, cut_range=x_ac, c2=c2, budget=budget,
+                      slope=scale + a_rad, t_floor=t_floor, t_max=c.t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +407,10 @@ def extract_plan(solution, varmap: VarMap, case: CaseSystem) -> PlanResult:
 
     Binaries must sit within 1e-6 of an integer; the objective is recomputed
     from the case data (install costs plus dispatch cost over period
-    durations) and must match the solver's value to 1e-6 relative.
+    durations) and must match the solver's value to 1e-6 relative.  A
+    thermal plan reports each built line-period at the lowest temperature
+    its linear heat balance admits for the flow (see :class:`LineRating`),
+    and each unbuilt candidate at 0.
     """
     ir = varmap.model
     mode = varmap.mode
@@ -420,8 +435,10 @@ def extract_plan(solution, varmap: VarMap, case: CaseSystem) -> PlanResult:
 
     dispatch = {k: float(values[i]) for k, i in varmap.dispatch.items()}
     flows = {k: float(values[i]) for k, i in varmap.flow.items()}
-    temperatures = {k: float(values[i])
-                    for k, i in varmap.temperature.items()}
+    temperatures = {
+        k: rating.temperature(flows[k])
+        if chosen(varmap.line_built[k[0]]) else 0.0
+        for k, rating in varmap.ratings.items()}
 
     recomputed = 0.0
     for c in case.lines:

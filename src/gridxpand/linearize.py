@@ -3,8 +3,8 @@
 Two families live here.  The first is curve fitting: single line segments
 with a certified worst-case error over a stated domain, used for the trig
 terms of the linearized AC power flow and for the log-domain radiation link.
-The second is exact MILP gadgets: binary-continuous products, switched DC
-flow and convex square support cuts.  Gadget builders only append to the
+The second is exact MILP gadgets: binary-continuous products and switched
+DC flow.  Gadget builders only append to the
 model they are handed and return the output variable and the bound
 constants they used as a :class:`~gridxpand.ir.GadgetFragment`.
 
@@ -281,34 +281,3 @@ def gadget_switched_dc_flow(ir: ModelIR, built: int, flow: int, susceptance: flo
                 built: -big_x}, GE, -big_x)
     return GadgetFragment(output=flow,
                           big_m={"ohm_relax": big_x, "flow_limit": flow_limit})
-
-
-def gadget_square_cuts(ir: ModelIR, operand: int, upper: float, n_cuts: int,
-                       tag: str) -> GadgetFragment:
-    """Outer approximation ``w >= x**2`` by tangent support cuts.
-
-    For a nonnegative ``x`` bounded by ``upper``, emits ``n_cuts`` tangents
-    at evenly spaced touch points.  Between neighbouring touch points the
-    piecewise-linear envelope undershoots the square by at most
-    ``(spacing/2)**2``, recorded as the certified gap.  Rows only push ``w``
-    up, so a minimization pressure on ``w`` lands exactly on the envelope.
-    """
-    ov = ir.variables[operand]
-    if ov.lower < 0:
-        raise ValueError(f"{tag}: square cuts assume a nonnegative operand")
-    if upper <= 0 or not math.isfinite(upper):
-        raise ValueError(f"{tag}: operand cap must be finite and > 0, got {upper}")
-    if n_cuts < 2:
-        raise ValueError(f"{tag}: need at least 2 cuts, got {n_cuts}")
-    if ov.upper > upper * (1 + 1e-12):
-        raise ValueError(f"{tag}: operand bound exceeds cut range "
-                         f"({ov.upper} > {upper})")
-    w = ir.add_variable(f"{tag}.sq", CONTINUOUS, 0.0, upper * upper)
-    points = np.linspace(0.0, upper, n_cuts)
-    for k, x_k in enumerate(points):
-        ir.add_row(f"{tag}.sq_cut{k}", {w: 1.0, operand: -2.0 * float(x_k)},
-                   GE, -float(x_k) * float(x_k))
-    spacing = upper / (n_cuts - 1)
-    gap = (spacing / 2.0) ** 2
-    return GadgetFragment(output=w,
-                          big_m={"square_gap": gap, "cut_range": upper})

@@ -5,14 +5,19 @@ the inputs pinned, then push the gadget's output down and up with two
 oracle solves.  An exact gadget leaves no room — both probes land on the
 direct nonlinear value — so any daylight between min and max, or between
 either probe and the hand-evaluated definition, is a mismatch.  The
-convection probe only pushes up: its cap row is the column's one bound
-from above.
+rating probe only pushes up: the rating is the flow's one bound from
+above.
+
+:func:`heat_balance_lp` keeps the per-line heat-balance rows the builder
+used to emit, as an LP oracle for the build-time rating.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -20,9 +25,9 @@ import numpy as np
 from gridxpand import (BusSpec, CaseSystem, ConductorSpec, ConvectionCoeffs,
                        GeneratorSpec, LineSpec, ModelIR, PeriodSpec,
                        RobustParams, SolveConfig, WeatherRecord, build_igtep,
-                       oracle_solve)
+                       line_convection, oracle_solve, radiation_log_fit)
 from gridxpand import builder
-from gridxpand.ir import BINARY, CONTINUOUS, EQ
+from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
 from gridxpand.linearize import gadget_binary_product, gadget_switched_dc_flow
 
 PROBE_TOL = 1e-7
@@ -240,45 +245,137 @@ def scan_switched_dc_flow(rng: np.random.Generator, n: int) -> list[str]:
 
 
 def scan_governing_convection(rng: np.random.Generator, n: int) -> list[str]:
-    """The built convection column must carry the governing branch's heat.
+    """Line ``E``'s rating must come from the governing convection branch.
 
     Each instance patches the builder's ``line_convection`` to hand out a
     drawn pair of film coefficients (ties and pairs where ``k''`` wins
-    included), builds the thermal toy, pins every binary and the
-    temperature of line ``E`` and maximizes ``conv[E,p1]``.  The robust cap
-    must allow exactly ``(1 - phi*omega) * max(k', k'') * (T - T_env) + mu``.
+    included) and draws ``t_max`` of line ``E``.  It builds the thermal toy,
+    pins every binary and maximizes the flow on ``E``.  That flow must be
+    the rating of :func:`cut_rating` from the convection
+    ``(1 - phi*omega) * max(k', k'')``.
     """
     params = STANDARD_ROBUST
-    # At 40 MW the candidate unit alone covers the demand, so the existing
-    # line may run cold and the heat balance never caps the convection.
-    case = toy_case(peak=40.0)
-    t_env = DEFAULT_WEATHER.ambient_temp
+    # A large existing unit at bus 1 can ship whatever line E carries into
+    # the ">=" balance at bus 2, so only the rating caps its flow.
+    base = toy_case(peak=40.0)
+    base = dataclasses.replace(base, generators=(
+        dataclasses.replace(base.generators[0], p_max=1e4),
+        base.generators[1]))
+    weather = DEFAULT_WEATHER
+    t_env = weather.ambient_temp
     pins = {"build[L]": 0.0, "unit[U1]": 1.0,
             "trig[E,p1].cos_side": 1.0, "trig[L,p1].cos_side": 1.0}
     bad: list[str] = []
     for k in range(n):
         k1 = float(rng.uniform(0.5, 5.0))
         k2 = k1 if rng.random() < 0.15 else float(rng.uniform(0.5, 5.0))
-        temp = float(rng.uniform(t_env + 40.0, case.line("E").t_max))
+        t_max = float(rng.uniform(t_env + 40.0, base.line("E").t_max))
+        line = dataclasses.replace(base.line("E"), t_max=t_max)
+        case = dataclasses.replace(base, lines=(line, base.line("L")))
         coeffs = ConvectionCoeffs(k_prime=k1, k_double_prime=k2, reynolds=0.0)
         with mock.patch.object(builder, "line_convection",
                                lambda conductor, weather: coeffs):
             ir, _ = build_igtep(case, params, "dtlr_robust")
-        for name, value in {**pins, "temp[E,p1]": temp}.items():
+        for name, value in pins.items():
             v = ir.variable(name)
             ir.variables[v.index] = dataclasses.replace(v, lower=value,
                                                         upper=value)
-        label = f"conv #{k} (k'={k1:.3f}, k''={k2:.3f}, T={temp:.2f})"
-        best = probe(ir, {ir.variable("conv[E,p1]").index: -1.0})
+        label = f"rating #{k} (k'={k1:.3f}, k''={k2:.3f}, t_max={t_max:.2f})"
+        best = probe(ir, {ir.variable("flow[E,p1]").index: -1.0})
         if best.status != "optimal":
-            bad.append(f"{label}: max-heat probe {best.status}")
+            bad.append(f"{label}: max-flow probe {best.status}")
             continue
-        want = ((1.0 - params.phi * params.omega) * max(k1, k2)
-                * (temp - t_env) + params.mu)
+        film = (1.0 - params.phi * params.omega) * max(k1, k2)
+        want = cut_rating(line, weather, params, film, case.current_base)
         got = -best.objective
         if abs(got - want) > PROBE_TOL * (1.0 + abs(want)):
-            bad.append(f"{label}: passes {got}, governing branch gives {want}")
+            bad.append(f"{label}: carries {got}, governing branch gives "
+                       f"{want}")
     return bad
+
+
+def _radiation_and_solar(line: LineSpec, weather: WeatherRecord,
+                         params: RobustParams):
+    """Radiation link ``(a, b)``, the radiation cap and the robust solar
+    term, as the builder's heat-balance rows used them."""
+    fit = radiation_log_fit(line.conductor.emissivity,
+                            weather.radiation_coeff,
+                            min(273.0, weather.ambient_temp),
+                            max(373.0, line.t_max))
+    a_rad, b_rad = fit.link_coefficients(weather.ambient_temp)
+    qrad_cap = max(0.0, a_rad * line.t_max + b_rad) + fit.band
+    po = params.phi * params.omega
+    qs = weather.solar_gain
+    solar_term = qs + po * qs - params.mu * max(1.0, abs(qs))
+    return a_rad, b_rad, qrad_cap, solar_term
+
+
+def cut_rating(line: LineSpec, weather: WeatherRecord, params: RobustParams,
+               film: float, i_base: float) -> float:
+    """Largest current whose 25-cut square envelope fits the heat budget at
+    ``t_max``, for the robust convection film coefficient ``film`` (W/m per
+    K); assumes a nonnegative budget."""
+    a_rad, b_rad, qrad_cap, solar_term = _radiation_and_solar(line, weather,
+                                                              params)
+    budget = (film * (line.t_max - weather.ambient_temp) + params.mu
+              + min(qrad_cap, a_rad * line.t_max + b_rad) - solar_term)
+    x_ac = angle_window_span(line.susceptance, line.conductance)
+    c2 = line.resistance_per_meter * i_base * i_base
+    points = np.linspace(0.0, x_ac, builder.SQUARE_CUTS)[1:]
+    return min(x_ac, float(np.min((budget / c2 + points ** 2)
+                                  / (2.0 * points))))
+
+
+def heat_balance_lp(line: LineSpec, weather: WeatherRecord,
+                    params: RobustParams, i_base: float,
+                    current: float | None = None) -> float | None:
+    """Max current of one built line's heat-balance rows, or None.
+
+    The rows are those the builder emitted per line and period before the
+    rating: temperature ``T`` in ``[T_env, t_max]``, the robust convection
+    cap, the radiation link under its cap, 25 tangent cuts of the squared
+    current and the robust heat balance.  With ``current`` given, the
+    current is pinned there and the lowest feasible ``T`` comes back
+    instead.  ``None`` means no point is feasible.
+    """
+    t_env = weather.ambient_temp
+    conv_coeff = ((1.0 - params.phi * params.omega)
+                  * line_convection(line.conductor, weather).governing)
+    a_rad, b_rad, qrad_cap, solar_term = _radiation_and_solar(line, weather,
+                                                              params)
+    x_ac = angle_window_span(line.susceptance, line.conductance)
+    c2 = line.resistance_per_meter * i_base * i_base
+    ir = ModelIR()
+    temp = ir.add_variable("T", CONTINUOUS, 0.0, line.t_max)
+    conv = ir.add_variable("conv", CONTINUOUS, 0.0)
+    rad = ir.add_variable("rad", CONTINUOUS, 0.0, qrad_cap)
+    w = ir.add_variable("w", CONTINUOUS, 0.0, x_ac * x_ac)
+    cur = ir.add_variable("current", CONTINUOUS, 0.0, x_ac)
+    ir.add_row("tfloor", {temp: 1.0}, GE, t_env)
+    ir.add_row("convcap", {conv: 1.0, temp: -conv_coeff}, LE,
+               params.mu - conv_coeff * t_env)
+    ir.add_row("radcap", {rad: 1.0, temp: -a_rad}, LE, b_rad)
+    for k, x_k in enumerate(np.linspace(0.0, x_ac, builder.SQUARE_CUTS)):
+        ir.add_row(f"sq_cut{k}", {w: 1.0, cur: -2.0 * float(x_k)}, GE,
+                   -float(x_k) ** 2)
+    ir.add_row("hbe", {w: c2, conv: -1.0, rad: -1.0}, LE, -solar_term)
+    if current is not None:
+        ir.add_row("pin", {cur: 1.0}, EQ, current)
+        best = probe(ir, {temp: 1.0})
+        return best.objective if best.status == "optimal" else None
+    best = probe(ir, {cur: -1.0})
+    return -best.objective if best.status == "optimal" else None
+
+
+def name_tag_counts(ir: ModelIR) -> tuple[Counter, Counter]:
+    """Columns and rows per name tag: the name without its bracketed
+    indices and trailing cut number, as ``trig.cos_side`` or ``sq_cut``."""
+
+    def tag(name: str) -> str:
+        return re.sub(r"\d+$", "", re.sub(r"\[[^\]]*\]", "", name))
+
+    return (Counter(tag(v.name) for v in ir.variables),
+            Counter(tag(r.name) for r in ir.rows))
 
 
 def angle_window_span(beta: float, conductance: float,

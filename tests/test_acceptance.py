@@ -102,7 +102,7 @@ def test_criterion_3_gadget_exactness():
     ok = not mismatches and elapsed < 60.0
     line = report(ok, 3, "MILP gadget exactness",
                   f"{len(mismatches)} mismatches over 3x{n} enumeration "
-                  f"probes incl. governing-branch convection through "
+                  f"probes incl. the governing-branch rating through "
                   f"build_igtep (tol {support.PROBE_TOL:g}), "
                   f"{elapsed:.2f}s (<60s)")
     assert ok, line

@@ -8,14 +8,15 @@ import functools
 import numpy as np
 import pytest
 
-from gridxpand import (RobustParams, SolveConfig, build_igtep, extract_plan,
-                       external_solve, hbe_certificate_bound,
+from gridxpand import (RobustParams, SolveConfig, WeatherRecord, build_igtep,
+                       extract_plan, external_solve, hbe_certificate_bound,
                        hbe_residual_audit, oracle_solve, radiation_log_fit,
                        robust_margin)
 from gridxpand.builder import MODES, reference_bus
 from gridxpand.errors import ExtractionError, ModelBuildError
 from gridxpand.ir import EQ, GE
-from support import (STANDARD_ROBUST, assert_row_equivalent,
+from support import (DEFAULT_WEATHER, PROBE_TOL, STANDARD_ROBUST,
+                     assert_row_equivalent, heat_balance_lp, name_tag_counts,
                      scan_governing_convection, toy_case,
                      toy_dc_det_objective, toy_robust_objective)
 
@@ -107,20 +108,37 @@ class TestModelShape:
             assert len(ir.free_binaries()) == expected, mode
 
     @pytest.mark.parametrize("case_name, shape", [
-        ("six_bus", (897, 3495, 100)),
-        ("rts24", (2542, 9230, 256)),
+        ("six_bus", (462, 840, 100)),
+        ("rts24", (1392, 2160, 256)),
     ])
     def test_shipped_thermal_model_shape(self, request, case_name, shape):
         """Columns, rows and free binaries of the shipped thermal models.
 
-        Per line and period: one convection column and one cap row; the
-        branch is fixed at build time, so no binary picks it.
+        Per line and period: the angle difference, its cosine side and
+        their product, and the flow.  The heat balance is a build-time
+        rating, so no temperature, convection, radiation or current column
+        and no square cut is left; the rating bounds an existing line's
+        flow column and sits in a candidate's ``accap`` rows.
         """
         case = request.getfixturevalue(case_name)
         params = request.getfixturevalue(f"{case_name}_scenario").robust
         ir, _ = build_igtep(case, params, "dtlr_robust")
         assert (ir.num_variables, ir.num_rows,
                 len(ir.free_binaries())) == shape
+        columns, rows = name_tag_counts(ir)
+        n_lp = len(case.lines) * len(case.periods)
+        n_cand = sum(c.candidate for c in case.lines) * len(case.periods)
+        per_line_period = {"adiff": 1, "trig.cos_side": 1,
+                           "trig.cos_side_x.prod": 1, "flow": 1}
+        for name, count in per_line_period.items():
+            assert columns[name] == count * n_lp, name
+        assert rows["acflow"] == n_lp - n_cand
+        for name in ("acflow_hi", "acflow_lo", "accap_hi", "accap_lo"):
+            assert rows[name] == n_cand, name
+        gone = ("hbe", "conv", "rad", "temp", "current")
+        for counts in (columns, rows):
+            assert not [t for t in counts
+                        if t.split(".")[0] in gone or t.endswith(".sq_cut")]
 
     def test_metadata_records_mode_and_big_m(self):
         ir, _ = build_igtep(toy_case(), None, "dc_det")
@@ -154,8 +172,8 @@ class TestModelShape:
                     assert bands[f"{c.id},{d.id}"] == fit.band
 
     def test_angle_diff_window(self):
-        ir, vm = build_igtep(toy_case(), STANDARD_ROBUST, "dtlr_robust")
-        x = ir.variables[vm.angle_diff["E", "p1"]]
+        ir, _ = build_igtep(toy_case(), STANDARD_ROBUST, "dtlr_robust")
+        x = ir.variable("adiff[E,p1]")
         assert (x.lower, x.upper) == (-0.6, 0.6)
 
     def test_weather_optional_outside_thermal_mode(self):
@@ -289,7 +307,7 @@ class TestThermalPlans:
         with pytest.raises(ExtractionError, match="dtlr_robust"):
             hbe_residual_audit(plan, case)
 
-    def test_convection_column_carries_governing_branch(self):
+    def test_rating_follows_governing_convection(self):
         bad = scan_governing_convection(np.random.default_rng(105), 12)
         assert bad == []
 
@@ -300,6 +318,96 @@ class TestThermalPlans:
         orc = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
         assert ext.status == orc.status == "optimal"
         assert orc.objective == pytest.approx(ext.objective, rel=1e-6)
+
+
+def _with_line(case, line_id, weather=None, **changes):
+    """``case`` with one line's fields and its p1 weather replaced."""
+    lines = tuple(dataclasses.replace(c, **changes) if c.id == line_id else c
+                  for c in case.lines)
+    period = case.periods[0]
+    if weather is not None:
+        period = dataclasses.replace(
+            period, weather={**period.weather, line_id: weather})
+    return dataclasses.replace(case, lines=lines, periods=(period,))
+
+
+# Line-periods whose heat balance admits no temperature up to t_max;
+# heat_balance_lp finds no feasible point for any of them.  The radiation
+# case keeps a nonnegative budget, so it is an edge of its own.
+UNRATED = {
+    "t_max below ambient": dict(t_max=290.0),
+    "negative budget": dict(weather=dataclasses.replace(DEFAULT_WEATHER,
+                                                        solar_gain=1000.0)),
+    "radiation link below zero": dict(
+        t_max=276.0, weather=dataclasses.replace(DEFAULT_WEATHER,
+                                                 ambient_temp=273.0,
+                                                 solar_gain=0.0)),
+}
+
+
+class TestThermalRating:
+    """The build-time rating against the heat-balance rows it replaced."""
+
+    def test_rating_matches_heat_balance_lp(self):
+        rng = np.random.default_rng(2024)
+        base = toy_case()
+        below_cap = unrated = 0
+        for k in range(30):
+            t_env = float(rng.uniform(268.0, 318.0))
+            weather = WeatherRecord(
+                ambient_temp=t_env, wind_speed=float(rng.uniform(0.3, 6.0)),
+                solar_gain=float(rng.uniform(0.0, 40.0)),
+                radiation_coeff=float(rng.uniform(2e-9, 3e-9)))
+            conductor = dataclasses.replace(
+                base.line("E").conductor,
+                diameter=float(rng.uniform(0.015, 0.04)),
+                emissivity=float(rng.uniform(0.3, 0.95)))
+            case = _with_line(
+                base, "E", weather, conductor=conductor,
+                t_max=max(274.0, t_env + float(rng.uniform(5.0, 110.0))),
+                resistance_at_tmax=float(rng.uniform(0.3, 4.0)),
+                susceptance=float(rng.uniform(2.0, 8.0)),
+                conductance=float(rng.uniform(0.2, 1.5)))
+            params = RobustParams(phi=float(rng.uniform(0.0, 0.3)),
+                                  mu=float(rng.uniform(0.0, 0.05)),
+                                  reliability=float(rng.uniform(0.01, 0.3)))
+            line = case.line("E")
+            _, vm = build_igtep(case, params, "dtlr_robust")
+            rating = vm.ratings["E", "p1"]
+            want = heat_balance_lp(line, weather, params, case.current_base)
+            if want is None:
+                assert rating.amps is None, k
+                unrated += 1
+                continue
+            assert rating.amps == pytest.approx(want, abs=PROBE_TOL), k
+            below_cap += rating.amps < rating.cut_range
+            # The reported temperature is the lowest the rows admit.
+            amps = float(rng.uniform(0.0, rating.amps))
+            lowest = heat_balance_lp(line, weather, params,
+                                     case.current_base, current=amps)
+            assert rating.temperature(amps) == pytest.approx(lowest,
+                                                             abs=1e-6), k
+        assert 0 < below_cap < 30 - unrated
+
+    @pytest.mark.parametrize("edge", sorted(UNRATED))
+    def test_unrated_existing_line_makes_plan_infeasible(self, edge):
+        case = _with_line(toy_case(), "E", **UNRATED[edge])
+        assert heat_balance_lp(case.line("E"), case.periods[0].weather["E"],
+                               STANDARD_ROBUST, case.current_base) is None
+        plan, _, vm, _ = solved_plan(case, STANDARD_ROBUST, "dtlr_robust")
+        assert vm.ratings["E", "p1"].amps is None
+        assert plan.status == "infeasible"
+
+    @pytest.mark.parametrize("edge", sorted(UNRATED))
+    def test_unrated_candidate_is_never_built(self, edge):
+        case = _with_line(stressed_case(), "L", **UNRATED[edge])
+        plan, ir, vm, _ = solved_plan(case, STANDARD_ROBUST, "dtlr_robust")
+        assert vm.ratings["L", "p1"].amps is None
+        assert "L" not in plan.added_lines
+        forced = external_solve(ir, SolveConfig(time_limit=60.0),
+                                bounds_override={vm.line_built["L"]:
+                                                 (1.0, 1.0)})
+        assert forced.status == "infeasible"
 
 
 class TestModes:

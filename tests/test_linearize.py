@@ -20,8 +20,7 @@ import support
 from gridxpand import (ModelIR, Segment, certify_segment, fit_line_minimax,
                        trig_segments)
 from gridxpand.ir import BINARY, CONTINUOUS, EQ
-from gridxpand.linearize import (gadget_binary_product, gadget_square_cuts,
-                                 gadget_switched_dc_flow)
+from gridxpand.linearize import gadget_binary_product, gadget_switched_dc_flow
 
 
 def chord_minimax_error(f, lo: float, hi: float, n: int = 200001) -> float:
@@ -213,42 +212,3 @@ class TestGadgetSwitchedDcFlow:
             gadget_switched_dc_flow(ir, u, pf, 0.0, a, b, 1.0, "g")
         with pytest.raises(ValueError, match="limit"):
             gadget_switched_dc_flow(ir, u, pf, 2.0, a, b, 0.0, "g")
-
-
-class TestGadgetSquareCuts:
-    def test_envelope_touches_at_cut_points(self):
-        upper, n_cuts = 2.0, 5
-        for x_val in np.linspace(0.0, upper, n_cuts):
-            ir = ModelIR()
-            x = ir.add_variable("x", CONTINUOUS, 0.0, upper)
-            ir.add_row("pin", {x: 1.0}, EQ, float(x_val))
-            frag = gadget_square_cuts(ir, x, upper, n_cuts, "g")
-            smallest = support.probe(ir, {frag.output: 1.0})
-            assert smallest.objective == pytest.approx(x_val * x_val,
-                                                       abs=1e-9)
-
-    def test_certified_gap_bounds_undershoot(self):
-        upper, n_cuts = 3.0, 7
-        rng = np.random.default_rng(106)
-        gap = None
-        for x_val in rng.uniform(0.0, upper, size=15):
-            ir = ModelIR()
-            x = ir.add_variable("x", CONTINUOUS, 0.0, upper)
-            ir.add_row("pin", {x: 1.0}, EQ, float(x_val))
-            frag = gadget_square_cuts(ir, x, upper, n_cuts, "g")
-            gap = frag.big_m["square_gap"]
-            smallest = support.probe(ir, {frag.output: 1.0})
-            under = x_val * x_val - smallest.objective
-            assert -1e-9 <= under <= gap + 1e-9
-        assert gap == pytest.approx((upper / (n_cuts - 1) / 2.0) ** 2)
-
-    def test_parameter_validation(self):
-        ir = ModelIR()
-        x = ir.add_variable("x", CONTINUOUS, -1.0, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            gadget_square_cuts(ir, x, 1.0, 3, "g")
-        y = ir.add_variable("y", CONTINUOUS, 0.0, 1.0)
-        with pytest.raises(ValueError, match="at least 2"):
-            gadget_square_cuts(ir, y, 1.0, 1, "g")
-        with pytest.raises(ValueError, match="cut range"):
-            gadget_square_cuts(ir, y, 0.5, 3, "g")
