@@ -21,7 +21,7 @@ angles) and differ in how line capacity is modeled:
     the balance is loosest at ``t_max`` and projects onto one number per
     line and period, computed at build time: the rating ``|flow| <= R``
     (:class:`LineRating`).  It bounds an existing line's flow column and
-    gates a candidate's flow by its build binary.  Every big-M constant is
+    angle difference, and gates a candidate's flow by its build binary.  Every big-M constant is
     logged in the model metadata for post-solve auditing.
 
 Solutions come back through :func:`extract_plan`, which refuses fractional
@@ -293,9 +293,22 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             a_s = vm.angle[c.from_bus, d.id]
             a_r = vm.angle[c.to_bus, d.id]
 
-            # Angle difference variable, constrained to the trig window.
+            x_ac, c2, sq_gaps[tag], fit = _balance_linearization(
+                c, weather, trig, i_base)
+            rad_bands[tag] = fit.band
+            rating = _line_rating(c, weather, params, fit, x_ac, c2)
+            vm.ratings[key] = rating
+            if rating.amps is None:
+                # No temperature up to t_max balances even zero current: an
+                # existing line makes the model infeasible, a candidate
+                # stays unbuilt.
+                ir.add_row(f"unrated[{tag}]", {u: 1.0}, LE, 0.0)
+            amps = rating.amps or 0.0
+
+            # Angle difference, within the trig window and, on an existing
+            # line, within what its rating allows.
             x = ir.add_variable(f"adiff[{tag}]", CONTINUOUS,
-                                -trig.half_range, trig.half_range)
+                                *_angle_bounds(c, trig, amps))
             ir.add_row(f"adiff_def[{tag}]",
                        {x: 1.0, a_s: -1.0, a_r: 1.0}, EQ, 0.0)
             sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
@@ -308,29 +321,12 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             s_cos = abs(trig.cos_pos.slope)
             ac_coeffs = {x: s_sin * c.susceptance - s_cos * c.conductance,
                          sel.side_times_x: 2.0 * s_cos * c.conductance}
-            x_ac = _ac_flow_bound(c, trig)
-
-            c2 = c.resistance_per_meter * i_base * i_base   # W/m per (p.u.)^2
-            sq_gaps[tag] = c2 * ((x_ac / (SQUARE_CUTS - 1)) / 2.0) ** 2
-            fit = radiation_log_fit(c.conductor.emissivity,
-                                    weather.radiation_coeff,
-                                    min(273.0, weather.ambient_temp),
-                                    max(373.0, c.t_max))
-            rad_bands[tag] = fit.band
-            rating = _line_rating(c, weather, params, fit, x_ac, c2)
-            vm.ratings[key] = rating
-            if rating.amps is None:
-                # No temperature up to t_max balances even zero current: an
-                # existing line makes the model infeasible, a candidate
-                # stays unbuilt.
-                ir.add_row(f"unrated[{tag}]", {u: 1.0}, LE, 0.0)
-            amps = rating.amps or 0.0
 
             cap = x_ac if c.candidate else amps
             pf = ir.add_variable(f"flow[{tag}]", CONTINUOUS, -cap, cap)
             vm.flow[key] = pf
             if c.candidate:
-                # pf = u * ac_flow via disjunction; u=0 leaves the window
+                # pf = u * ac_flow via disjunction; u=0 leaves the side
                 # rows on x but makes the line electrically absent.
                 hi = {pf: 1.0, u: x_ac}
                 lo = {pf: 1.0, u: -x_ac}
@@ -349,6 +345,48 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                 for var, coef in ac_coeffs.items():
                     row[var] = row.get(var, 0.0) - coef
                 ir.add_row(f"acflow[{tag}]", row, EQ, 0.0)
+
+
+def _balance_linearization(c: LineSpec, weather: WeatherRecord,
+                           trig: TrigSegments, i_base: float
+                           ) -> tuple[float, float, float, RadiationLogFit]:
+    """The linearized heat balance's constants for one line and period.
+
+    Returns the current range ``x_ac`` (p.u.) the square cuts span, the
+    ohmic coefficient ``c2`` (W/m per (p.u.)**2), the cuts' certified gap
+    (W/m) and the radiation link fitted over ``[min(273, T_env), max(373,
+    t_max)]``.  The model and :func:`hbe_certificate_bound` both read them
+    here, so the bound certifies the rows that were built.
+    """
+    x_ac = _ac_flow_bound(c, trig)
+    c2 = c.resistance_per_meter * i_base * i_base
+    sq_gap = c2 * ((x_ac / (SQUARE_CUTS - 1)) / 2.0) ** 2
+    fit = radiation_log_fit(c.conductor.emissivity, weather.radiation_coeff,
+                            min(273.0, weather.ambient_temp),
+                            max(373.0, c.t_max))
+    return x_ac, c2, sq_gap, fit
+
+
+def _angle_bounds(c: LineSpec, trig: TrigSegments,
+                  amps: float) -> tuple[float, float]:
+    """Bounds on a line's angle difference ``x``, rad.
+
+    A built line's linearized flow is ``s_sin*B*x + s_cos*G*|x|``, so an
+    existing line's rating ``|flow| <= amps`` caps ``x`` from above at
+    ``amps/(s_sin*B + s_cos*G)`` and from below at ``-amps/|s_sin*B -
+    s_cos*G|``, each within the trig window.  A candidate's angle is not
+    limited by its rating while it is unbuilt, and an unrated line has no
+    rating to use; both keep the window.
+    """
+    h = trig.half_range
+    if c.candidate or not amps:
+        return -h, h
+    s_sin = trig.sin.slope
+    s_cos = abs(trig.cos_pos.slope)
+    up = amps / (s_sin * c.susceptance + s_cos * c.conductance)
+    slope_neg = abs(s_sin * c.susceptance - s_cos * c.conductance)
+    down = amps / slope_neg if slope_neg > 0.0 else h
+    return -min(h, down), min(h, up)
 
 
 def _line_rating(c: LineSpec, weather: WeatherRecord, params: RobustParams,
@@ -535,16 +573,9 @@ def hbe_certificate_bound(case: CaseSystem, params: RobustParams
     for d in case.periods:
         for c in case.lines:
             weather = d.weather[c.id]
-            x_ac = _ac_flow_bound(c, trig)
-            spacing = x_ac / (SQUARE_CUTS - 1)
-            c2 = c.resistance_per_meter * i_base * i_base
-            sq_gap = c2 * (spacing / 2.0) ** 2
-            eps = c.conductor.emissivity
-            kr = weather.radiation_coeff
-            t_lo = min(273.0, weather.ambient_temp)
-            t_hi = max(373.0, c.t_max)
-            band = radiation_log_fit(eps, kr, t_lo, t_hi).band
+            _, _, sq_gap, fit = _balance_linearization(c, weather, trig,
+                                                       i_base)
             qs = weather.solar_gain
-            bounds[c.id, d.id] = (sq_gap + band
+            bounds[c.id, d.id] = (sq_gap + fit.band
                                   + params.mu * (1.0 + max(1.0, abs(qs))))
     return bounds

@@ -3,10 +3,11 @@
 Two families live here.  The first is curve fitting: single line segments
 with a certified worst-case error over a stated domain, used for the trig
 terms of the linearized AC power flow and for the log-domain radiation link.
-The second is exact MILP gadgets: binary-continuous products and switched
-DC flow.  Gadget builders only append to the
-model they are handed and return the output variable and the bound
-constants they used as a :class:`~gridxpand.ir.GadgetFragment`.
+The second is exact MILP gadgets: the cosine side selection, the convex
+hull of the two halves of an angle difference's own bounds
+(:meth:`TrigSegments.attach_cos_selection`), and switched DC flow.  Gadget
+builders only append to the model they are handed and return the handles
+they added, with any big-M constants they used.
 
 Error certificates
 ------------------
@@ -129,17 +130,12 @@ def fit_line_minimax(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 
 @dataclass(frozen=True)
 class CosSelection:
-    """Handles for one attached cosine window.
-
-    ``coeffs``/``constant`` spell out the piecewise cosine surrogate
-    ``cos(x) ~ constant + sum(coeffs[var] * var)`` in terms of the angle
-    difference, the side binary and their product.
-    """
+    """Handles for one attached cosine side: the side binary ``l`` and the
+    positive part ``p`` of the angle difference, ``p = l*x = max(x, 0)`` at
+    integral ``l``."""
 
     side: int
     side_times_x: int
-    coeffs: dict[int, float]
-    constant: float
 
 
 @dataclass(frozen=True)
@@ -163,21 +159,28 @@ class TrigSegments:
         """Emit the side-selection rows for one angle-difference variable.
 
         Adds the side binary ``l`` (0 on the negative half, 1 on the
-        positive), the window rows ``-h*(1-l) <= x <= h*l`` and the product
-        ``l*x``, then returns the affine cosine surrogate built from them.
+        positive) and the positive part ``p`` in ``[0, hi]``, tied by the
+        convex hull of the two sides over ``x``'s own bounds ``[lo, hi]``
+        (Balas' disjunctive hull): ``p <= hi*l``, ``p >= x`` and
+        ``x - p >= lo*(1 - l)``.  At integral ``l`` this is exactly
+        ``p = l*x`` with ``x`` on the chosen side, so, as the two pieces
+        meet at 0, the cosine surrogate is ``cos_neg(x) + (cos_pos.slope -
+        cos_neg.slope)*p``; a fractional ``l`` cannot reach past the bounds.  The bounds must contain 0 and
+        lie inside the window the segments are certified on.
         """
+        v = ir.variables[x]
+        lo, hi = v.lower, v.upper
         h = self.half_range
+        if not -h <= lo <= 0.0 <= hi <= h:
+            raise ValueError(
+                f"{tag}: angle bounds [{lo}, {hi}] must contain 0 and lie in "
+                f"the certified window [-{h}, {h}]")
         side = ir.add_variable(f"{tag}.cos_side", BINARY)
-        ir.add_row(f"{tag}.cos_window_hi", {x: 1.0, side: -h}, LE, 0.0)
-        ir.add_row(f"{tag}.cos_window_lo", {x: 1.0, side: -h}, GE, -h)
-        prod = gadget_binary_product(ir, side, x, h, f"{tag}.cos_side_x")
-        s1, m1 = self.cos_neg.slope, self.cos_neg.intercept
-        s2, m2 = self.cos_pos.slope, self.cos_pos.intercept
-        coeffs = {x: s1, prod.output: s2 - s1}
-        if m2 != m1:
-            coeffs[side] = m2 - m1
-        return CosSelection(side=side, side_times_x=prod.output,
-                            coeffs=coeffs, constant=m1)
+        pos = ir.add_variable(f"{tag}.cos_pos", CONTINUOUS, 0.0, hi)
+        ir.add_row(f"{tag}.cos_pos_hi", {pos: 1.0, side: -hi}, LE, 0.0)
+        ir.add_row(f"{tag}.cos_pos_lo", {pos: 1.0, x: -1.0}, GE, 0.0)
+        ir.add_row(f"{tag}.cos_neg_lo", {x: 1.0, pos: -1.0, side: lo}, GE, lo)
+        return CosSelection(side=side, side_times_x=pos)
 
 
 # Published coefficients for the +/-0.6 rad window.  These are the anchored
@@ -219,40 +222,6 @@ def trig_segments(half_range: float = TRIG_HALF_RANGE,
 
 # ---------------------------------------------------------------------------
 # Exact gadgets
-
-
-def _operand_bound(ir: ModelIR, operand: int) -> float:
-    v = ir.variables[operand]
-    return max(abs(v.lower), abs(v.upper))
-
-
-def gadget_binary_product(ir: ModelIR, binary: int, operand: int,
-                          bound: float, tag: str) -> GadgetFragment:
-    """Exact product ``theta = y * delta`` of a binary and a bounded variable.
-
-    ``bound`` must dominate ``|delta|``; the four standard envelope rows are
-    tight for binary ``y``, so the output is the product exactly, not a
-    relaxation.
-    """
-    if ir.variables[binary].kind != BINARY:
-        raise ValueError(f"{tag}: product driver must be a binary variable")
-    if bound <= 0 or not math.isfinite(bound):
-        raise ValueError(f"{tag}: product bound must be finite and > 0, got {bound}")
-    need = _operand_bound(ir, operand)
-    if need > bound * (1 + 1e-12):
-        raise ValueError(
-            f"{tag}: operand bounds exceed certified product bound "
-            f"({need} > {bound})")
-    ov = ir.variables[operand]
-    theta = ir.add_variable(f"{tag}.prod", CONTINUOUS,
-                            min(0.0, ov.lower), max(0.0, ov.upper))
-    ir.add_row(f"{tag}.prod_lo", {theta: 1.0, binary: bound}, GE, 0.0)
-    ir.add_row(f"{tag}.prod_hi", {theta: 1.0, binary: -bound}, LE, 0.0)
-    ir.add_row(f"{tag}.prod_track_lo",
-               {theta: 1.0, operand: -1.0, binary: -bound}, GE, -bound)
-    ir.add_row(f"{tag}.prod_track_hi",
-               {theta: 1.0, operand: -1.0, binary: bound}, LE, bound)
-    return GadgetFragment(output=theta, big_m={"product_bound": bound})
 
 
 def gadget_switched_dc_flow(ir: ModelIR, built: int, flow: int, susceptance: float,

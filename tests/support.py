@@ -9,7 +9,9 @@ rating probe only pushes up: the rating is the flow's one bound from
 above.
 
 :func:`heat_balance_lp` keeps the per-line heat-balance rows the builder
-used to emit, as an LP oracle for the build-time rating.
+used to emit, as an LP oracle for the build-time rating, and
+:func:`window_cos_selection` keeps its earlier cosine side rows, as a
+reference model for the optimum.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from gridxpand import (BusSpec, CaseSystem, ConductorSpec, ConvectionCoeffs,
                        line_convection, oracle_solve, radiation_log_fit)
 from gridxpand import builder
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
-from gridxpand.linearize import gadget_binary_product, gadget_switched_dc_flow
+from gridxpand.linearize import (CosSelection, TrigSegments,
+                                 gadget_switched_dc_flow, trig_segments)
 
 PROBE_TOL = 1e-7
 
@@ -203,20 +206,34 @@ def _check_pinned(bad: list, label: str, span, want: float,
                    f"definition gives {want}")
 
 
-def scan_binary_product(rng: np.random.Generator, n: int) -> list[str]:
-    """theta = y * delta with both inputs pinned must equal the product."""
+def scan_cos_side(rng: np.random.Generator, n: int) -> list[str]:
+    """The cosine side rows with ``x`` pinned inside its bounds ``[lo, hi]``.
+
+    A side that agrees with the sign of ``x`` must give exactly
+    ``p = max(x, 0)``; a side that disagrees must leave no feasible point.
+    """
+    trig = trig_segments()
+    h = trig.half_range
     bad: list[str] = []
     for k in range(n):
-        bound = float(rng.uniform(0.5, 10.0))
-        delta = float(rng.uniform(-bound, bound))
-        y = int(rng.integers(0, 2))
+        lo = -float(rng.uniform(0.01, h))
+        hi = float(rng.uniform(0.01, h))
+        x_val = float(rng.uniform(lo, hi))
+        side = int(rng.integers(0, 2))
         ir = ModelIR()
-        yv = ir.add_variable("y", BINARY, y, y)
-        dv = ir.add_variable("delta", CONTINUOUS, -bound, bound)
-        ir.add_row("pin", {dv: 1.0}, EQ, delta)
-        frag = gadget_binary_product(ir, yv, dv, bound, "g")
-        _check_pinned(bad, f"product #{k} (y={y}, delta={delta:.4f})",
-                      minmax_output(ir, frag.output), y * delta)
+        xv = ir.add_variable("x", CONTINUOUS, lo, hi)
+        ir.add_row("pin", {xv: 1.0}, EQ, x_val)
+        sel = trig.attach_cos_selection(ir, xv, "g")
+        ir.variables[sel.side] = dataclasses.replace(
+            ir.variables[sel.side], lower=float(side), upper=float(side))
+        label = (f"cos side #{k} (l={side}, x={x_val:.4f} in "
+                 f"[{lo:.3f}, {hi:.3f}])")
+        span = minmax_output(ir, sel.side_times_x)
+        if side == (x_val >= 0.0):
+            _check_pinned(bad, label, span, max(x_val, 0.0))
+        elif span is not None:
+            bad.append(f"{label}: inconsistent side is feasible, p in "
+                       f"[{span[0]}, {span[1]}]")
     return bad
 
 
@@ -365,6 +382,37 @@ def heat_balance_lp(line: LineSpec, weather: WeatherRecord,
         return best.objective if best.status == "optimal" else None
     best = probe(ir, {cur: -1.0})
     return -best.objective if best.status == "optimal" else None
+
+
+def window_cos_selection(trig: TrigSegments, ir: ModelIR, x: int,
+                         tag: str) -> CosSelection:
+    """The cosine side rows the builder emitted before the disjunctive hull.
+
+    ``x`` is widened to the whole trig window ``[-h, h]``; the window rows
+    ``-h*(1-l) <= x <= h*l`` pick the side and the four McCormick rows of
+    ``l*x`` over ``|x| <= h`` give the product.  Patched over
+    ``TrigSegments.attach_cos_selection``, it rebuilds the earlier model as
+    a reference for the optimum.
+    """
+    h = trig.half_range
+    ir.variables[x] = dataclasses.replace(ir.variables[x], lower=-h, upper=h)
+    side = ir.add_variable(f"{tag}.cos_side", BINARY)
+    ir.add_row(f"{tag}.cos_window_hi", {x: 1.0, side: -h}, LE, 0.0)
+    ir.add_row(f"{tag}.cos_window_lo", {x: 1.0, side: -h}, GE, -h)
+    prod = ir.add_variable(f"{tag}.cos_side_x.prod", CONTINUOUS, -h, h)
+    ir.add_row(f"{tag}.prod_lo", {prod: 1.0, side: h}, GE, 0.0)
+    ir.add_row(f"{tag}.prod_hi", {prod: 1.0, side: -h}, LE, 0.0)
+    ir.add_row(f"{tag}.prod_track_lo", {prod: 1.0, x: -1.0, side: -h}, GE, -h)
+    ir.add_row(f"{tag}.prod_track_hi", {prod: 1.0, x: -1.0, side: h}, LE, h)
+    return CosSelection(side=side, side_times_x=prod)
+
+
+def build_window_form(case: CaseSystem, params: RobustParams):
+    """``build_igtep(case, params, "dtlr_robust")`` with the window rows of
+    :func:`window_cos_selection` in place of the hull."""
+    with mock.patch.object(TrigSegments, "attach_cos_selection",
+                           window_cos_selection):
+        return build_igtep(case, params, "dtlr_robust")
 
 
 def name_tag_counts(ir: ModelIR) -> tuple[Counter, Counter]:

@@ -21,7 +21,7 @@ from gridxpand import (RobustParams, SolveConfig, SweepSpec, ampacity,
                        reynolds_number, run_plan, run_sweep, scale_to_peak,
                        steady_state_temperature, trig_segments, WeatherRecord)
 from support import (DEFAULT_CONDUCTOR, assert_row_equivalent,
-                     random_instance, scan_binary_product,
+                     random_instance, scan_cos_side,
                      scan_governing_convection, scan_switched_dc_flow)
 
 R_PER_M = 2.0e-4
@@ -94,7 +94,7 @@ def test_criterion_3_gadget_exactness():
     start = time.perf_counter()
     n = 60
     mismatches = []
-    mismatches += scan_binary_product(np.random.default_rng(9302), n)
+    mismatches += scan_cos_side(np.random.default_rng(9302), n)
     mismatches += scan_switched_dc_flow(np.random.default_rng(9304), n)
     mismatches += scan_governing_convection(np.random.default_rng(9305), n)
     elapsed = time.perf_counter() - start

@@ -8,15 +8,17 @@ import functools
 import numpy as np
 import pytest
 
-from gridxpand import (RobustParams, SolveConfig, WeatherRecord, build_igtep,
-                       extract_plan, external_solve, hbe_certificate_bound,
-                       hbe_residual_audit, oracle_solve, radiation_log_fit,
-                       robust_margin)
-from gridxpand.builder import MODES, reference_bus
+from gridxpand import (ModelIR, RobustParams, SolveConfig, WeatherRecord,
+                       build_igtep, extract_plan, external_solve,
+                       hbe_certificate_bound, hbe_residual_audit,
+                       oracle_solve, radiation_log_fit, robust_margin)
+from gridxpand.builder import MODES, SQUARE_CUTS, reference_bus
 from gridxpand.errors import ExtractionError, ModelBuildError
-from gridxpand.ir import EQ, GE
+from gridxpand.ir import CONTINUOUS, EQ, GE, LE
 from support import (DEFAULT_WEATHER, PROBE_TOL, STANDARD_ROBUST,
-                     assert_row_equivalent, heat_balance_lp, name_tag_counts,
+                     angle_window_span, assert_row_equivalent,
+                     build_window_form, heat_balance_lp, minmax_output,
+                     name_tag_counts, random_instance,
                      scan_governing_convection, toy_case,
                      toy_dc_det_objective, toy_robust_objective)
 
@@ -108,17 +110,19 @@ class TestModelShape:
             assert len(ir.free_binaries()) == expected, mode
 
     @pytest.mark.parametrize("case_name, shape", [
-        ("six_bus", (462, 840, 100)),
-        ("rts24", (1392, 2160, 256)),
+        ("six_bus", (462, 600, 100)),
+        ("rts24", (1392, 1500, 256)),
     ])
     def test_shipped_thermal_model_shape(self, request, case_name, shape):
         """Columns, rows and free binaries of the shipped thermal models.
 
         Per line and period: the angle difference, its cosine side and
-        their product, and the flow.  The heat balance is a build-time
-        rating, so no temperature, convection, radiation or current column
-        and no square cut is left; the rating bounds an existing line's
-        flow column and sits in a candidate's ``accap`` rows.
+        positive part, and the flow, with the side's three hull rows.  The
+        heat balance is a build-time rating, so no temperature, convection,
+        radiation or current column and no square cut is left; the rating
+        bounds an existing line's flow column and sits in a candidate's
+        ``accap`` rows.  No window or product row of the earlier side
+        selection remains.
         """
         case = request.getfixturevalue(case_name)
         params = request.getfixturevalue(f"{case_name}_scenario").robust
@@ -128,17 +132,21 @@ class TestModelShape:
         columns, rows = name_tag_counts(ir)
         n_lp = len(case.lines) * len(case.periods)
         n_cand = sum(c.candidate for c in case.lines) * len(case.periods)
-        per_line_period = {"adiff": 1, "trig.cos_side": 1,
-                           "trig.cos_side_x.prod": 1, "flow": 1}
+        per_line_period = {"adiff": 1, "trig.cos_side": 1, "trig.cos_pos": 1,
+                           "flow": 1}
         for name, count in per_line_period.items():
             assert columns[name] == count * n_lp, name
+        for name in ("adiff_def", "trig.cos_pos_hi", "trig.cos_pos_lo",
+                     "trig.cos_neg_lo"):
+            assert rows[name] == n_lp, name
         assert rows["acflow"] == n_lp - n_cand
         for name in ("acflow_hi", "acflow_lo", "accap_hi", "accap_lo"):
             assert rows[name] == n_cand, name
         gone = ("hbe", "conv", "rad", "temp", "current")
         for counts in (columns, rows):
             assert not [t for t in counts
-                        if t.split(".")[0] in gone or t.endswith(".sq_cut")]
+                        if t.split(".")[0] in gone or t.endswith(".sq_cut")
+                        or "cos_window" in t or ".prod" in t]
 
     def test_metadata_records_mode_and_big_m(self):
         ir, _ = build_igtep(toy_case(), None, "dc_det")
@@ -172,8 +180,19 @@ class TestModelShape:
                     assert bands[f"{c.id},{d.id}"] == fit.band
 
     def test_angle_diff_window(self):
-        ir, _ = build_igtep(toy_case(), STANDARD_ROBUST, "dtlr_robust")
+        """An existing line's angle difference is bounded by its rating, a
+        candidate's by the trig window."""
+        case = toy_case()
+        ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        amps = vm.ratings["E", "p1"].amps
+        line = case.line("E")
         x = ir.variable("adiff[E,p1]")
+        assert x.upper == min(0.6, amps / (0.95 * line.susceptance
+                                           + 0.24 * line.conductance))
+        assert x.lower == -min(0.6, amps / abs(0.95 * line.susceptance
+                                               - 0.24 * line.conductance))
+        assert -0.6 < x.lower < 0.0 < x.upper < 0.6
+        x = ir.variable("adiff[L,p1]")
         assert (x.lower, x.upper) == (-0.6, 0.6)
 
     def test_weather_optional_outside_thermal_mode(self):
@@ -307,6 +326,33 @@ class TestThermalPlans:
         with pytest.raises(ExtractionError, match="dtlr_robust"):
             hbe_residual_audit(plan, case)
 
+    @pytest.mark.parametrize("case_name", ["six_bus", "rts24"])
+    def test_certificate_bound_restates_the_model(self, request, case_name):
+        """The audit bound is, bit for bit, the square-cut gap plus the
+        radiation band the model was built with plus the two tolerance
+        terms, and the gap and band are those of the stated formulas."""
+        case = request.getfixturevalue(case_name)
+        params = request.getfixturevalue(f"{case_name}_scenario").robust
+        ir, _ = build_igtep(case, params, "dtlr_robust")
+        certs = ir.metadata["certificates"]
+        bounds = hbe_certificate_bound(case, params)
+        i_base = case.current_base
+        for d in case.periods:
+            for c in case.lines:
+                weather = d.weather[c.id]
+                x_ac = angle_window_span(c.susceptance, c.conductance)
+                c2 = c.resistance_per_meter * i_base * i_base
+                gap = c2 * (x_ac / (SQUARE_CUTS - 1) / 2.0) ** 2
+                band = radiation_log_fit(c.conductor.emissivity,
+                                         weather.radiation_coeff,
+                                         min(273.0, weather.ambient_temp),
+                                         max(373.0, c.t_max)).band
+                tag = f"{c.id},{d.id}"
+                assert certs["square_gap_w_per_m"][tag] == gap, tag
+                assert certs["radiation_band_w_per_m"][tag] == band, tag
+                tol = params.mu * (1.0 + max(1.0, abs(weather.solar_gain)))
+                assert bounds[c.id, d.id] == gap + band + tol, tag
+
     def test_rating_follows_governing_convection(self):
         bad = scan_governing_convection(np.random.default_rng(105), 12)
         assert bad == []
@@ -389,6 +435,42 @@ class TestThermalRating:
                                                              abs=1e-6), k
         assert 0 < below_cap < 30 - unrated
 
+    def test_angle_bounds_are_the_lp_extremes(self):
+        """An existing line's angle bounds are the max and min of ``x`` in
+        the trig window under ``|s_sin*B*x + s_cos*G*|x|| <= amps``, solved
+        as one LP per side."""
+        rng = np.random.default_rng(4242)
+        base = toy_case()
+        binding = steep_neg = 0
+        for k in range(24):
+            # Every other draw has s_sin*B < s_cos*G: the flow then grows
+            # with |x| on the negative side too.
+            conductance = float(rng.uniform(0.2, 6.0))
+            ratio = rng.uniform(0.05, 0.25) if k % 2 else rng.uniform(0.26, 3.0)
+            case = _with_line(
+                base, "E", resistance_at_tmax=float(rng.uniform(0.3, 80.0)),
+                susceptance=conductance * float(ratio),
+                conductance=conductance)
+            line = case.line("E")
+            ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+            amps = vm.ratings["E", "p1"].amps
+            x = ir.variable("adiff[E,p1]")
+            extremes = []
+            for lo, hi, abs_sign in ((-0.6, 0.0, -1.0), (0.0, 0.6, 1.0)):
+                lp = ModelIR()
+                xv = lp.add_variable("x", CONTINUOUS, lo, hi)
+                slope = (0.95 * line.susceptance
+                         + abs_sign * 0.24 * line.conductance)
+                lp.add_row("cap_hi", {xv: slope}, LE, amps)
+                lp.add_row("cap_lo", {xv: slope}, GE, -amps)
+                extremes.append(minmax_output(lp, xv))
+            assert x.lower == pytest.approx(extremes[0][0], abs=PROBE_TOL), k
+            assert x.upper == pytest.approx(extremes[1][1], abs=PROBE_TOL), k
+            binding += x.lower > -0.6 or x.upper < 0.6
+            steep_neg += (0.95 * line.susceptance < 0.24 * line.conductance
+                          and x.lower > -0.6)
+        assert 0 < binding < 24 and steep_neg > 0
+
     @pytest.mark.parametrize("edge", sorted(UNRATED))
     def test_unrated_existing_line_makes_plan_infeasible(self, edge):
         case = _with_line(toy_case(), "E", **UNRATED[edge])
@@ -408,6 +490,46 @@ class TestThermalRating:
                                 bounds_override={vm.line_built["L"]:
                                                  (1.0, 1.0)})
         assert forced.status == "infeasible"
+
+
+class TestCosSideHull:
+    def test_window_form_gives_the_same_optimum(self):
+        """The side rows of the disjunctive hull over the rating-implied
+        angle bounds against the earlier window and product rows over the
+        whole trig window: same status and optimum on seeded thermal draws.
+        Each draw is solved as drawn and with its lines' resistance scaled
+        up, so that ratings, and with them the angle bounds, bind."""
+        rng = np.random.default_rng(9090)
+        config = SolveConfig(time_limit=60.0)
+        n_thermal = n_optimal = n_binding = 0
+        while n_thermal < 24:
+            drawn, params, mode = random_instance(rng)
+            if mode != "dtlr_robust":
+                continue
+            n_thermal += 1
+            scale = float(rng.uniform(4.0, 40.0))
+            stressed = dataclasses.replace(drawn, lines=tuple(
+                dataclasses.replace(c, resistance_at_tmax=scale
+                                    * c.resistance_at_tmax)
+                for c in drawn.lines))
+            for case in (drawn, stressed):
+                ir, _ = build_igtep(case, params, mode)
+                window_ir, _ = build_window_form(case, params)
+                assert window_ir.num_rows == ir.num_rows + 3 * len(case.lines)
+                got = external_solve(ir, config)
+                want = external_solve(window_ir, config)
+                assert got.status == want.status, n_thermal
+                if want.status != "optimal":
+                    continue
+                n_optimal += 1
+                assert got.objective == pytest.approx(want.objective,
+                                                      rel=1e-7), n_thermal
+                n_binding += any(
+                    min(v.upper - got.values[v.index],
+                        got.values[v.index] - v.lower) <= 1e-7
+                    and (v.lower, v.upper) != (-0.6, 0.6)
+                    for v in ir.variables if v.name.startswith("adiff"))
+        assert n_optimal >= 20 and n_binding >= 3
 
 
 class TestModes:

@@ -20,7 +20,7 @@ import support
 from gridxpand import (ModelIR, Segment, certify_segment, fit_line_minimax,
                        trig_segments)
 from gridxpand.ir import BINARY, CONTINUOUS, EQ
-from gridxpand.linearize import gadget_binary_product, gadget_switched_dc_flow
+from gridxpand.linearize import gadget_switched_dc_flow
 
 
 def chord_minimax_error(f, lo: float, hi: float, n: int = 200001) -> float:
@@ -150,18 +150,19 @@ class TestTrigSegments:
             trig_segments(half_range=0.0)
 
     def test_cos_selection_reproduces_surrogate(self):
-        """The attached window rows evaluate to the certified cosine pieces."""
+        """The side rows evaluate the cosine surrogate through the positive
+        part: ``cos_neg(x) + (cos_pos.slope - cos_neg.slope) * p``."""
         trig = trig_segments()
+        rise = trig.cos_pos.slope - trig.cos_neg.slope
         for x_val in (-0.55, -0.2, 0.0, 0.3, 0.6):
             ir = ModelIR()
             x = ir.add_variable("x", CONTINUOUS, -0.6, 0.6)
             ir.add_row("pin", {x: 1.0}, EQ, x_val)
             sel = trig.attach_cos_selection(ir, x, "w")
             cos_expr = ir.add_variable("cosx", CONTINUOUS, 0.0, 2.0)
-            coeffs = {cos_expr: 1.0}
-            for var, coef in sel.coeffs.items():
-                coeffs[var] = coeffs.get(var, 0.0) - coef
-            ir.add_row("compose", coeffs, EQ, sel.constant)
+            ir.add_row("compose", {cos_expr: 1.0, x: -trig.cos_neg.slope,
+                                   sel.side_times_x: -rise},
+                       EQ, trig.cos_neg.intercept)
             span = support.minmax_output(ir, cos_expr)
             assert span is not None
             want = (trig.cos_neg if x_val < 0 else trig.cos_pos).value(x_val)
@@ -169,32 +170,18 @@ class TestTrigSegments:
             assert span[1] == pytest.approx(want, abs=1e-8)
 
 
-class TestGadgetBinaryProduct:
+class TestCosSide:
     def test_scan(self):
-        bad = support.scan_binary_product(np.random.default_rng(101), 12)
+        bad = support.scan_cos_side(np.random.default_rng(101), 12)
         assert bad == []
 
-    def test_requires_binary_driver(self):
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.5), (-0.5, -0.1),
+                                        (-0.7, 0.3), (-0.3, 0.7)])
+    def test_rejects_bounds_off_zero_or_window(self, lo, hi):
         ir = ModelIR()
-        y = ir.add_variable("y", CONTINUOUS, 0.0, 1.0)
-        d = ir.add_variable("d", CONTINUOUS, -1.0, 1.0)
-        with pytest.raises(ValueError, match="binary"):
-            gadget_binary_product(ir, y, d, 1.0, "g")
-
-    def test_rejects_undersized_bound(self):
-        ir = ModelIR()
-        y = ir.add_variable("y", BINARY)
-        d = ir.add_variable("d", CONTINUOUS, -5.0, 5.0)
-        with pytest.raises(ValueError, match="exceed"):
-            gadget_binary_product(ir, y, d, 1.0, "g")
-
-    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf])
-    def test_rejects_bad_bound(self, bound):
-        ir = ModelIR()
-        y = ir.add_variable("y", BINARY)
-        d = ir.add_variable("d", CONTINUOUS, -0.5, 0.5)
-        with pytest.raises(ValueError):
-            gadget_binary_product(ir, y, d, bound, "g")
+        x = ir.add_variable("x", CONTINUOUS, lo, hi)
+        with pytest.raises(ValueError, match="contain 0"):
+            trig_segments().attach_cos_selection(ir, x, "g")
 
 
 class TestGadgetSwitchedDcFlow:
