@@ -15,7 +15,7 @@ Typical use::
 from .errors import (CaseFormatError, CaseValidationError, CyclingGuardError,
                      ExtractionError, GridxpandError, ModelBuildError,
                      SolverError, UnknownEntityError)
-from .ir import GadgetFragment, ModelIR, Row, Variable
+from .ir import ModelIR, Row, Variable
 from .uncertainty import (NormalApprox, RobustParams, binomial_normal_approx,
                           binomial_pmf, inverse_normal_cdf, normal_cdf,
                           normal_pdf, omega_from_reliability, robust_margin)
@@ -44,7 +44,7 @@ __all__ = [
     "GridxpandError", "CaseFormatError", "CaseValidationError",
     "UnknownEntityError", "ModelBuildError", "ExtractionError", "SolverError",
     "CyclingGuardError",
-    "Variable", "Row", "ModelIR", "GadgetFragment",
+    "Variable", "Row", "ModelIR",
     "normal_cdf", "normal_pdf", "inverse_normal_cdf", "omega_from_reliability",
     "RobustParams", "binomial_pmf", "NormalApprox", "binomial_normal_approx",
     "robust_margin",

@@ -49,7 +49,6 @@ from .uncertainty import RobustParams, robust_margin
 
 MODES = ("dc_det", "dc_robust", "dtlr_robust")
 SQUARE_CUTS = 25                  # tangents of current**2 per line, period
-ANGLE_SPAN = 1.2                  # rad, disjunction coverage for DC flow
 INTEGRALITY_TOL = 1e-6
 OBJECTIVE_REL_TOL = 1e-6
 
@@ -231,10 +230,9 @@ def build_igtep(case: CaseSystem, params: RobustParams | None,
                 a_r = vm.angle[c.to_bus, d.id]
                 if c.candidate:
                     tag = f"switch[{c.id},{d.id}]"
-                    frag = gadget_switched_dc_flow(
+                    big_m_log[f"{tag}.ohm_relax"] = gadget_switched_dc_flow(
                         ir, vm.line_built[c.id], pf, c.susceptance, a_s, a_r,
-                        c.flow_limit, tag, window=ANGLE_SPAN)
-                    big_m_log[f"{tag}.ohm_relax"] = frag.big_m["ohm_relax"]
+                        c.flow_limit, tag)
                     ir.metadata["relax_rows"].append(
                         (f"{tag}.ohm_hi", vm.line_built[c.id]))
                     ir.metadata["relax_rows"].append(

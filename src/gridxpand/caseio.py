@@ -187,10 +187,13 @@ def parse_case(doc: dict, source: str = "case") -> CaseSystem:
             raise CaseFormatError("field 'weather' must be an object", where)
         weather = {}
         for line_id, entry in raw_weather.items():
-            fallback = (line_by_id[line_id].conductor.radiation_coeff
-                        if line_id in line_by_id else 0.0)
-            weather[line_id] = _weather(entry, f"{where}.weather[{line_id!r}]",
-                                        fallback)
+            entry_where = f"{where}.weather[{line_id!r}]"
+            if line_id not in line_by_id:
+                raise CaseFormatError(f"weather names unknown line "
+                                      f"{line_id!r}", entry_where)
+            weather[line_id] = _weather(
+                entry, entry_where,
+                line_by_id[line_id].conductor.radiation_coeff)
         periods.append(PeriodSpec(
             id=_text(raw, "id", where),
             duration=_number(raw, "duration", where),
@@ -207,19 +210,24 @@ def parse_case(doc: dict, source: str = "case") -> CaseSystem:
     return case
 
 
-def load_case(path: str | Path) -> CaseSystem:
-    path = Path(path)
+def _read_json(path: Path, kind: str):
+    """The decoded JSON document at ``path``, a ``kind`` file."""
     try:
         text = path.read_text()
     except OSError as exc:
-        raise CaseFormatError(f"cannot read case file: {exc}", str(path)) from exc
+        raise CaseFormatError(f"cannot read {kind} file: {exc}",
+                              str(path)) from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseFormatError(
             f"invalid JSON: {exc.msg}",
             f"{path}:{exc.lineno}:{exc.colno}") from exc
-    return parse_case(doc, source=path.name)
+
+
+def load_case(path: str | Path) -> CaseSystem:
+    path = Path(path)
+    return parse_case(_read_json(path, "case"), source=path.name)
 
 
 def case_to_document(case: CaseSystem) -> dict:
@@ -297,18 +305,7 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CaseFormatError(f"cannot read scenario file: {exc}",
-                              str(path)) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(
-            f"invalid JSON: {exc.msg}",
-            f"{path}:{exc.lineno}:{exc.colno}") from exc
-    return parse_scenario(doc, source=path.name)
+    return parse_scenario(_read_json(path, "scenario"), source=path.name)
 
 
 def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
@@ -352,8 +349,9 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
 def apply_scenario(case: CaseSystem, scenario: Scenario) -> CaseSystem:
     """Overlay scenario weather onto the case's periods.
 
-    Wildcard entries apply first, explicit period/line ids override them.
-    Unknown explicit ids are an error; a wildcard over an empty case is not.
+    Wildcard entries apply first, explicit period/line ids override them,
+    whatever the order of the keys.  Unknown explicit ids are an error; a
+    wildcard over an empty case is not.
     """
     period_ids = [d.id for d in case.periods]
     line_ids = [c.id for c in case.lines]
@@ -369,12 +367,11 @@ def apply_scenario(case: CaseSystem, scenario: Scenario) -> CaseSystem:
     def patches_for(period_id: str) -> dict[str, WeatherPatch]:
         merged: dict[str, WeatherPatch] = {}
         for key in (WILDCARD, period_id):
-            for line_id, patch in scenario.weather.get(key, {}).items():
-                if line_id == WILDCARD:
-                    for lid in line_ids:
-                        merged[lid] = patch
-                else:
-                    merged[line_id] = patch
+            lines = scenario.weather.get(key, {})
+            if WILDCARD in lines:
+                merged.update(dict.fromkeys(line_ids, lines[WILDCARD]))
+            merged.update((line_id, patch) for line_id, patch in lines.items()
+                          if line_id != WILDCARD)
         return merged
 
     new_periods = []

@@ -38,9 +38,11 @@ _SOLVER_ERRORS = (SolverError, ExtractionError)
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=("external", "oracle"),
                      default="external", help="MILP backend (default external)")
-    sub.add_argument("--time-limit", type=float, default=300.0, metavar="S",
+    sub.add_argument("--time-limit", type=float,
+                     default=SolveConfig.time_limit, metavar="S",
                      help="solver wall-clock limit in seconds")
-    sub.add_argument("--gap", type=float, default=1e-9, metavar="G",
+    sub.add_argument("--gap", type=float, default=SolveConfig.mip_gap,
+                     metavar="G",
                      help="relative MIP gap for the external backend")
 
 

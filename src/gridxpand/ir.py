@@ -13,7 +13,7 @@ never mutate rows they have already emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -132,17 +132,3 @@ class ModelIR:
     def row_activity(self, row: Row, values) -> float:
         return sum(coef * values[var] for var, coef in row.coeffs.items())
 
-
-@dataclass
-class GadgetFragment:
-    """What a linearization gadget hands back to its caller.
-
-    ``output`` is the variable that carries the gadget's value (the product,
-    the square, ...); gadgets that only constrain existing variables set it
-    to that variable.  ``big_m`` records every bound constant the gadget baked
-    into a row, keyed by a short role name, so the choice can be audited after
-    a solve.
-    """
-
-    output: int
-    big_m: dict = field(default_factory=dict)

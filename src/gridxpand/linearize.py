@@ -7,11 +7,12 @@ The second is exact MILP gadgets: the cosine side selection, the convex
 hull of the two halves of an angle difference's own bounds
 (:meth:`TrigSegments.attach_cos_selection`), and switched DC flow.  Gadget
 builders only append to the model they are handed and return the handles
-they added, with any big-M constants they used.
+they added, or the big-M constant they used.
 
 Error certificates
 ------------------
-``max_abs_err`` is the largest absolute deviation on a dense grid.
+``max_abs_err`` is the largest absolute deviation on a dense grid of
+:data:`CERT_GRID` points.
 ``max_rel_err`` is pointwise ``|err|/|f|`` when the function keeps one sign
 on the domain; for a function that crosses or touches zero (sine, squares)
 the pointwise ratio degenerates near the root, so the certificate reports the
@@ -26,10 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import BINARY, CONTINUOUS, GE, LE, GadgetFragment, ModelIR
+from .ir import BINARY, CONTINUOUS, GE, LE, ModelIR
 
-DEFAULT_CERT_GRID = 20001
+CERT_GRID = 20001                 # points of every certification grid
+FIT_GRID = 2001                   # points a minimax fit is scored on
+FIT_SLOPES = 201                  # slopes per scan of a minimax fit
+FIT_REFINEMENTS = 2               # narrowed rescans after the first
 TRIG_HALF_RANGE = 0.6
+ANGLE_SPAN = 1.2                  # rad, disjunction coverage for DC flow
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,7 @@ class Segment:
 
 
 def certify_segment(f: Callable[[np.ndarray], np.ndarray], slope: float,
-                    intercept: float, lo: float, hi: float,
-                    n: int = DEFAULT_CERT_GRID) -> Segment:
+                    intercept: float, lo: float, hi: float) -> Segment:
     """Evaluate a candidate line against ``f`` on a dense grid.
 
     Returns a :class:`Segment` carrying the certified absolute and relative
@@ -61,9 +65,7 @@ def certify_segment(f: Callable[[np.ndarray], np.ndarray], slope: float,
     """
     if not lo < hi:
         raise ValueError(f"empty certification domain [{lo}, {hi}]")
-    if n < 2:
-        raise ValueError("certification grid needs at least 2 points")
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(lo, hi, CERT_GRID)
     fx = np.asarray(f(xs), dtype=float)
     err = np.abs(fx - (slope * xs + intercept))
     max_abs = float(err.max())
@@ -79,23 +81,21 @@ def certify_segment(f: Callable[[np.ndarray], np.ndarray], slope: float,
 
 
 def fit_line_minimax(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                     *, anchor: float | None = None, n_grid: int = 2001,
-                     n_slopes: int = 201, refinements: int = 2,
-                     n_certify: int = DEFAULT_CERT_GRID) -> Segment:
+                     *, anchor: float | None = None) -> Segment:
     """Best line under the worst-case absolute deviation criterion.
 
     For a fixed slope the optimal free intercept has a closed form (midpoint
     of the residual envelope), so only the slope is searched: a bracket
     spanning the function's local slopes is scanned on a grid and narrowed
-    around the incumbent, twice by default.  With ``anchor`` set, the
-    intercept is pinned to that value instead of optimized; this is how the
-    trig fits keep both cosine pieces continuous at the knot.
+    around the incumbent, :data:`FIT_REFINEMENTS` times.  With ``anchor``
+    set, the intercept is pinned to that value instead of optimized; this is
+    how the trig fits keep both cosine pieces continuous at the knot.
 
     The returned segment is re-certified on an independent dense grid.
     """
     if not lo < hi:
         raise ValueError(f"empty fit domain [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, FIT_GRID)
     fx = np.asarray(f(xs), dtype=float)
 
     local = np.diff(fx) / np.diff(xs)
@@ -113,15 +113,15 @@ def fit_line_minimax(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 
     best_s, (best_err, best_m) = s_lo, objective(s_lo)
     span_lo, span_hi = s_lo, s_hi
-    for _ in range(refinements + 1):
-        grid = np.linspace(span_lo, span_hi, n_slopes)
+    for _ in range(FIT_REFINEMENTS + 1):
+        grid = np.linspace(span_lo, span_hi, FIT_SLOPES)
         for s in grid:
             err, m = objective(float(s))
             if err < best_err:
                 best_err, best_m, best_s = err, m, float(s)
-        step = (span_hi - span_lo) / (n_slopes - 1)
+        step = (span_hi - span_lo) / (FIT_SLOPES - 1)
         span_lo, span_hi = best_s - step, best_s + step
-    return certify_segment(f, best_s, best_m, lo, hi, n=n_certify)
+    return certify_segment(f, best_s, best_m, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +191,7 @@ _COS_INTERCEPT = 1.0
 _SIN_SLOPE = 0.95
 
 
-def trig_segments(half_range: float = TRIG_HALF_RANGE,
-                  n_certify: int = DEFAULT_CERT_GRID) -> TrigSegments:
+def trig_segments(half_range: float = TRIG_HALF_RANGE) -> TrigSegments:
     """Cosine pair and sine line for angle differences within the window.
 
     For the standard 0.6 rad half range the published slopes (cos +/-0.24
@@ -204,18 +203,16 @@ def trig_segments(half_range: float = TRIG_HALF_RANGE,
         raise ValueError(f"half_range must be > 0, got {half_range}")
     if half_range == TRIG_HALF_RANGE:
         cos_neg = certify_segment(np.cos, _COS_SLOPE, _COS_INTERCEPT,
-                                  -half_range, 0.0, n=n_certify)
+                                  -half_range, 0.0)
         cos_pos = certify_segment(np.cos, -_COS_SLOPE, _COS_INTERCEPT,
-                                  0.0, half_range, n=n_certify)
+                                  0.0, half_range)
         sin_seg = certify_segment(np.sin, _SIN_SLOPE, 0.0,
-                                  -half_range, half_range, n=n_certify)
+                                  -half_range, half_range)
     else:
-        cos_pos = fit_line_minimax(np.cos, 0.0, half_range, anchor=1.0,
-                                   n_certify=n_certify)
+        cos_pos = fit_line_minimax(np.cos, 0.0, half_range, anchor=1.0)
         cos_neg = certify_segment(np.cos, -cos_pos.slope, cos_pos.intercept,
-                                  -half_range, 0.0, n=n_certify)
-        sin_seg = fit_line_minimax(np.sin, -half_range, half_range, anchor=0.0,
-                                   n_certify=n_certify)
+                                  -half_range, 0.0)
+        sin_seg = fit_line_minimax(np.sin, -half_range, half_range, anchor=0.0)
     return TrigSegments(cos_neg=cos_neg, cos_pos=cos_pos, sin=sin_seg,
                         half_range=half_range)
 
@@ -226,20 +223,20 @@ def trig_segments(half_range: float = TRIG_HALF_RANGE,
 
 def gadget_switched_dc_flow(ir: ModelIR, built: int, flow: int, susceptance: float,
                             angle_from: int, angle_to: int, flow_limit: float,
-                            tag: str, window: float = 1.2) -> GadgetFragment:
-    """Disjunctive DC flow for a switchable line.
+                            tag: str) -> float:
+    """Disjunctive DC flow for a switchable line; returns the big-M ``X``.
 
     Emits ``|pf| <= u * pf_max`` plus the relaxed flow definition
-    ``|pf - beta*(a_s - a_r)| <= (1-u) * X`` with ``X = beta * window`` so
-    that a built line obeys Ohm's law and an unbuilt one is electrically
-    absent.  ``window`` is the angle-difference span the relaxation must
-    cover, in radians.
+    ``|pf - beta*(a_s - a_r)| <= (1-u) * X`` with
+    ``X = beta * ANGLE_SPAN`` so that a built line obeys Ohm's law and an
+    unbuilt one is electrically absent.  :data:`ANGLE_SPAN` is the
+    angle-difference span the relaxation covers, in radians.
     """
     if susceptance <= 0:
         raise ValueError(f"{tag}: susceptance must be > 0, got {susceptance}")
     if flow_limit <= 0:
         raise ValueError(f"{tag}: flow limit must be > 0, got {flow_limit}")
-    big_x = susceptance * window
+    big_x = susceptance * ANGLE_SPAN
     ir.add_row(f"{tag}.cap_hi", {flow: 1.0, built: -flow_limit}, LE, 0.0)
     ir.add_row(f"{tag}.cap_lo", {flow: 1.0, built: flow_limit}, GE, 0.0)
     ir.add_row(f"{tag}.ohm_hi",
@@ -248,5 +245,4 @@ def gadget_switched_dc_flow(ir: ModelIR, built: int, flow: int, susceptance: flo
     ir.add_row(f"{tag}.ohm_lo",
                {flow: 1.0, angle_from: -susceptance, angle_to: susceptance,
                 built: -big_x}, GE, -big_x)
-    return GadgetFragment(output=flow,
-                          big_m={"ohm_relax": big_x, "flow_limit": flow_limit})
+    return big_x

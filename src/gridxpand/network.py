@@ -172,10 +172,6 @@ def scale_to_peak(case: CaseSystem, peak: float) -> CaseSystem:
     return dataclasses.replace(case, peak_demand=peak)
 
 
-def net_demand_forecast(case: CaseSystem, bus_id: str, period_id: str) -> float:
-    return case.net_demand_forecast(bus_id, period_id)
-
-
 def validate_case(case: CaseSystem) -> list[Violation]:
     """Every broken invariant, one entry each; empty list means sound."""
     out: list[Violation] = []

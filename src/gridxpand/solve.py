@@ -4,14 +4,17 @@ The ``external`` backend hands the model to HiGHS and is the one used for
 real planning runs.  It drives the ``_Highs`` object that scipy bundles in
 ``scipy.optimize._highspy._core``, because only that object accepts a MIP
 start (``setSolution``); the runner seeds thermal solves through it.  The
-module is private to scipy, so it is imported behind a guard: when it is
-missing, the backend falls back to :func:`scipy.optimize.milp` and ignores
-the start.  Both paths report the proven gap, the dual bound and the node
-count.  A start is only an incumbent and never changes the optimum.
+module is private to scipy, and its shape is pinned by the tests.  Each
+solve reports the proven gap, the dual bound and the node count.  A start
+is only an incumbent and never changes the optimum.
 Callers may switch off HiGHS's sub-MIP primal heuristics (RINS, RENS and
 root reduced cost), which on the static-rating models spend most of the
 search re-finding what root rounding already found; they steer the search
 only, never the optimum.
+
+Both backends read the model through one export to arrays
+(:func:`_model_arrays`): cost, a sparse row matrix, right-hand sides, row
+directions and variable bounds.
 
 The ``oracle`` backend is deliberately independent of HiGHS: it uses numpy
 and nothing else.  It enumerates every assignment of the free binaries and
@@ -32,7 +35,7 @@ incumbent by more than its rounding is skipped unsolved, since it could
 never replace it.
 Agreement between the two backends is part of the test battery, so the
 oracle favours transparency over speed and refuses models with more free
-binaries than the enumeration cap.
+binaries than :data:`ENUMERATION_CAP`.
 """
 
 from __future__ import annotations
@@ -45,18 +48,14 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize as sopt
 import scipy.sparse as sp
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import CyclingGuardError, SolverError
-from .ir import BINARY, EQ, GE, LE, ModelIR, Variable
-
-try:  # private to scipy; its shape is pinned by tests/test_solve.py
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover - depends on the scipy build
-    _highs = None
+from .ir import BINARY, EQ, GE, LE, ModelIR
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -64,15 +63,14 @@ UNBOUNDED = "unbounded"
 LIMIT = "limit"
 ERROR = "error"
 
-ENUMERATION_HARD_CAP = 24
+ENUMERATION_CAP = 20             # free binaries the oracle enumerates
 
 # HiGHS options of the sub-MIP heuristics that ``sub_mips=False`` turns off.
 SUB_MIP_OPTIONS = ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
                    "mip_heuristic_run_root_reduced_cost")
 
-_SCIPY_STATUS = {0: OPTIMAL, 1: LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: ERROR}
-# HiGHS model statuses by name, mapped as scipy's milp maps them; any other
-# status is an error.
+# HiGHS model statuses by name, mapped as scipy maps them; any other status
+# is an error.
 _HIGHS_STATUS = {"kOptimal": OPTIMAL, "kTimeLimit": LIMIT,
                  "kIterationLimit": LIMIT, "kSolutionLimit": LIMIT,
                  "kInfeasible": INFEASIBLE, "kModelError": INFEASIBLE,
@@ -87,23 +85,21 @@ _PHASE1_TOL = 1e-7           # phase-1 residual (relative to |b|) = infeasible
 # models, where row residuals stay below 1e-12 and duality gaps below 1e-14.
 _CERT_TOL = 1e-9             # row residuals, duality gap, Farkas row sums
 _CERT_DUAL_TOL = 1e-7        # reduced costs
-_DIRECTION = {LE: 1.0, GE: -1.0, EQ: 0.0}   # row senses in the dense forms
+_DIRECTION = {LE: 1.0, GE: -1.0, EQ: 0.0}   # row senses in the model arrays
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Knobs shared by both backends.
 
-    ``mip_gap`` and ``time_limit`` only steer the external solver; the
-    oracle is exact by construction and checks the wall clock between
-    assignments.  ``binary_enumeration_cap`` bounds the oracle's search
-    space and may not exceed 2**24 assignments.
+    ``mip_gap`` only steers the external solver; the oracle is exact by
+    construction and checks ``time_limit`` on the wall clock between
+    assignments.
     """
 
     backend: str = "external"
     time_limit: float = 300.0
     mip_gap: float = 1e-9
-    binary_enumeration_cap: int = 20
 
     def __post_init__(self):
         if self.backend not in ("external", "oracle"):
@@ -112,10 +108,6 @@ class SolveConfig:
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
         if not 0 <= self.mip_gap < 1:
             raise ValueError(f"mip gap must be in [0, 1), got {self.mip_gap}")
-        if not 1 <= self.binary_enumeration_cap <= ENUMERATION_HARD_CAP:
-            raise ValueError(
-                f"enumeration cap must be in [1, {ENUMERATION_HARD_CAP}], "
-                f"got {self.binary_enumeration_cap}")
 
 
 @dataclass
@@ -147,7 +139,7 @@ def solve(ir: ModelIR, config: SolveConfig | None = None, *,
 
 
 # ---------------------------------------------------------------------------
-# External backend (HiGHS via scipy)
+# External backend (HiGHS through scipy's private binding)
 
 
 def _vacuous_row_ok(rhs: float, sense: str) -> bool:
@@ -165,13 +157,11 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     """Solve with HiGHS at ``config.mip_gap`` within ``config.time_limit``.
 
     ``start`` is a full value vector offered to HiGHS as a MIP start; an
-    infeasible start is dropped by HiGHS, and the fallback path without
-    scipy's ``_Highs`` ignores it.  ``bounds_override`` replaces the bounds
-    of the listed variables, as in :func:`simplex_lp`.  ``sub_mips=False``
-    switches off the heuristics in :data:`SUB_MIP_OPTIONS`; that changes
-    how fast the optimum is found, not the optimum.  The fallback path
-    ignores it, because :func:`scipy.optimize.milp` has no option for them,
-    and gives the same answer with them running.
+    infeasible start is dropped by HiGHS.  ``bounds_override`` replaces the
+    bounds of the listed variables, as in :func:`simplex_lp`.
+    ``sub_mips=False`` switches off the heuristics in
+    :data:`SUB_MIP_OPTIONS`; that changes how fast the optimum is found, not
+    the optimum.
     """
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
@@ -183,40 +173,68 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                         np.zeros(0) if ok else None,
                         time.perf_counter() - t0, "external")
 
-    cost = np.zeros(n)
-    for idx, coef in ir.objective.items():
-        cost[idx] = coef
+    model = _model_arrays(ir, bounds_override)
+    matrix = model.matrix.tocsc()
     integrality = np.array([1 if v.kind == BINARY else 0 for v in ir.variables])
-    lower, upper = _bounds(ir, bounds_override)
-
-    data, rows_ix, cols_ix = [], [], []
-    row_lo = np.empty(len(ir.rows))
-    row_hi = np.empty(len(ir.rows))
-    for r, row in enumerate(ir.rows):
-        for j, a in row.coeffs.items():
-            rows_ix.append(r)
-            cols_ix.append(j)
-            data.append(a)
-        if row.sense == LE:
-            row_lo[r], row_hi[r] = -np.inf, row.rhs
-        elif row.sense == GE:
-            row_lo[r], row_hi[r] = row.rhs, np.inf
-        else:
-            row_lo[r], row_hi[r] = row.rhs, row.rhs
-    matrix = sp.csc_array((data, (rows_ix, cols_ix)), shape=(len(ir.rows), n))
-
-    run = _run_highs if _highs is not None else _run_milp
     with _stdout_to_stderr():
         try:
-            fields = run(cost, matrix, row_lo, row_hi, lower, upper,
-                         integrality, config, start, sub_mips)
+            lp = _highs.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = n
+            lp.num_row_ = lp.a_matrix_.num_row_ = ir.num_rows
+            lp.col_cost_ = model.cost
+            lp.col_lower_ = model.lower
+            lp.col_upper_ = model.upper
+            lp.row_lower_ = np.where(model.direction <= 0.0, model.rhs,
+                                     -np.inf)
+            lp.row_upper_ = np.where(model.direction >= 0.0, model.rhs,
+                                     np.inf)
+            lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+            lp.a_matrix_.start_ = matrix.indptr
+            lp.a_matrix_.index_ = matrix.indices
+            lp.a_matrix_.value_ = matrix.data
+            lp.integrality_ = [_highs.HighsVarType(int(k))
+                               for k in integrality]
+
+            highs = _highs._Highs()
+            highs.setOptionValue("log_to_console", False)
+            highs.setOptionValue("time_limit", float(config.time_limit))
+            highs.setOptionValue("mip_rel_gap", float(config.mip_gap))
+            if not sub_mips:
+                for name in SUB_MIP_OPTIONS:
+                    if (highs.setOptionValue(name, False)
+                            != _highs.HighsStatus.kOk):
+                        raise SolverError(f"HiGHS refused option {name}")
+            if highs.passModel(lp) == _highs.HighsStatus.kError:
+                raise SolverError("HiGHS refused the model")
+            if start is not None:
+                warm = _highs.HighsSolution()
+                warm.col_value = np.asarray(start, dtype=float)
+                warm.value_valid = True
+                highs.setSolution(warm)
+            highs.run()
+            model_status = highs.getModelStatus()
+            info = highs.getInfo()
         except SolverError:
             raise
-        except Exception as exc:  # malformed input surfaced by HiGHS or scipy
+        except Exception as exc:  # malformed input surfaced by HiGHS
             raise SolverError(
                 f"external solver rejected the model: {exc}") from exc
-    return Solution(runtime=time.perf_counter() - t0, backend="external",
-                    **fields)
+
+    status = _HIGHS_STATUS.get(model_status.name, ERROR)
+    feasible = (info.primal_solution_status
+                == _highs.SolutionStatus.kSolutionStatusFeasible)
+    values = objective = None
+    if status in (OPTIMAL, LIMIT) and feasible:
+        values = np.array(highs.getSolution().col_value, dtype=float)
+        objective = float(info.objective_function_value)
+    solution = Solution(status, objective, values,
+                        time.perf_counter() - t0, "external",
+                        highs.modelStatusToString(model_status))
+    if integrality.any():
+        solution.mip_gap = float(info.mip_gap)
+        solution.mip_dual_bound = float(info.mip_dual_bound)
+        solution.mip_node_count = int(info.mip_node_count)
+    return solution
 
 
 _redirect_lock = threading.Lock()
@@ -252,84 +270,6 @@ def _stdout_to_stderr():
                 os.close(_saved_stdout_fd)
 
 
-def _run_highs(cost, matrix, row_lo, row_hi, lower, upper, integrality,
-               config, start, sub_mips) -> dict:
-    """One HiGHS run through scipy's private ``_Highs`` object."""
-    lp = _highs.HighsLp()
-    lp.num_col_ = len(cost)
-    lp.num_row_ = len(row_lo)
-    lp.col_cost_ = cost
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = row_lo
-    lp.row_upper_ = row_hi
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = len(cost)
-    lp.a_matrix_.num_row_ = len(row_lo)
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
-    lp.integrality_ = [_highs.HighsVarType(int(k)) for k in integrality]
-
-    highs = _highs._Highs()
-    highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("time_limit", float(config.time_limit))
-    highs.setOptionValue("mip_rel_gap", float(config.mip_gap))
-    if not sub_mips:
-        for name in SUB_MIP_OPTIONS:
-            if highs.setOptionValue(name, False) != _highs.HighsStatus.kOk:
-                raise SolverError(f"HiGHS refused option {name}")
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        raise SolverError("HiGHS refused the model")
-    if start is not None:
-        warm = _highs.HighsSolution()
-        warm.col_value = np.asarray(start, dtype=float)
-        warm.value_valid = True
-        highs.setSolution(warm)
-    highs.run()
-
-    model_status = highs.getModelStatus()
-    info = highs.getInfo()
-    status = _HIGHS_STATUS.get(model_status.name, ERROR)
-    feasible = (info.primal_solution_status
-                == _highs.SolutionStatus.kSolutionStatusFeasible)
-    values = objective = None
-    if status in (OPTIMAL, LIMIT) and feasible:
-        values = np.array(highs.getSolution().col_value, dtype=float)
-        objective = float(info.objective_function_value)
-    fields = dict(status=status, objective=objective, values=values,
-                  message=highs.modelStatusToString(model_status))
-    if integrality.any():
-        fields.update(mip_gap=float(info.mip_gap),
-                      mip_dual_bound=float(info.mip_dual_bound),
-                      mip_node_count=int(info.mip_node_count))
-    return fields
-
-
-def _run_milp(cost, matrix, row_lo, row_hi, lower, upper, integrality,
-              config, start, sub_mips) -> dict:
-    """One HiGHS run through :func:`scipy.optimize.milp`; no MIP start, and
-    the sub-MIP heuristics always run."""
-    constraints = ()
-    if matrix.shape[0]:
-        constraints = sopt.LinearConstraint(matrix, row_lo, row_hi)
-    res = sopt.milp(c=cost, constraints=constraints, integrality=integrality,
-                    bounds=sopt.Bounds(lower, upper),
-                    options={"time_limit": config.time_limit,
-                             "mip_rel_gap": config.mip_gap,
-                             "disp": False})
-    values = np.asarray(res.x, dtype=float) if res.x is not None else None
-    objective = None
-    if values is not None and res.fun is not None:
-        objective = float(res.fun)
-    node_count = res.get("mip_node_count")
-    return dict(status=_SCIPY_STATUS.get(res.status, ERROR),
-                objective=objective, values=values, message=str(res.message),
-                mip_gap=res.get("mip_gap"),
-                mip_dual_bound=res.get("mip_dual_bound"),
-                mip_node_count=None if node_count is None else int(node_count))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration oracle
 
@@ -356,12 +296,12 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
     config = config if config is not None else SolveConfig(backend="oracle")
     start = time.perf_counter()
     free = ir.free_binaries()
-    if len(free) > config.binary_enumeration_cap:
+    if len(free) > ENUMERATION_CAP:
         raise SolverError(
             f"{len(free)} free binaries exceed the enumeration cap "
-            f"{config.binary_enumeration_cap}; use the external backend")
+            f"{ENUMERATION_CAP}; use the external backend")
 
-    form = _StandardForm(ir, *_bounds(ir, None),
+    form = _StandardForm(_model_arrays(ir),
                          pinned=[v.index for v in free])
     warm = None
     bound = None                 # priced from ``warm``, again after a solve
@@ -414,10 +354,10 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
     Returns ``(status, objective, x)`` with ``x`` covering all model
     variables.
     """
-    lower, upper = _bounds(ir, bounds_override)
-    if np.any(lower > upper):
+    model = _model_arrays(ir, bounds_override)
+    if np.any(model.lower > model.upper):
         return INFEASIBLE, None, None
-    form = _StandardForm(ir, lower, upper, pinned=[])
+    form = _StandardForm(model, pinned=[])
     bits = np.zeros(0)
     b = form.rhs(bits)
     if b is None:
@@ -429,13 +369,41 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
     return OPTIMAL, float(form.model_cost @ x), x
 
 
-def _bounds(ir: ModelIR, override: dict[int, tuple[float, float]] | None):
-    """Arrays of variable bounds, with ``override``'s entries replaced."""
+class _ModelArrays(NamedTuple):
+    """A model as arrays: row ``r`` reads ``matrix[r] @ x`` against
+    ``rhs[r]`` in the sense of ``direction[r]`` (``<=`` 1, ``>=`` -1,
+    ``=`` 0)."""
+
+    cost: np.ndarray
+    matrix: sp.csr_array
+    rhs: np.ndarray
+    direction: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _model_arrays(ir: ModelIR, override: dict[int, tuple[float, float]]
+                  | None = None) -> _ModelArrays:
+    """The model's arrays, with ``override``'s bounds replaced."""
+    n = ir.num_variables
+    cost = np.zeros(n)
+    cost[list(ir.objective)] = list(ir.objective.values())
+    indptr = np.zeros(ir.num_rows + 1, dtype=np.int64)
+    np.cumsum([len(row.coeffs) for row in ir.rows], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(
+        row.coeffs for row in ir.rows), dtype=np.int64, count=indptr[-1])
+    data = np.fromiter(itertools.chain.from_iterable(
+        row.coeffs.values() for row in ir.rows), dtype=float,
+        count=indptr[-1])
+    matrix = sp.csr_array((data, indices, indptr), shape=(ir.num_rows, n))
+    rhs = np.array([row.rhs for row in ir.rows], dtype=float)
+    direction = np.array([_DIRECTION[row.sense] for row in ir.rows],
+                         dtype=float)
     lower = np.array([v.lower for v in ir.variables], dtype=float)
     upper = np.array([v.upper for v in ir.variables], dtype=float)
     for idx, (lo, hi) in (override or {}).items():
         lower[idx], upper[idx] = lo, hi
-    return lower, upper
+    return _ModelArrays(cost, matrix, rhs, direction, lower, upper)
 
 
 def _violation(direction: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -444,7 +412,8 @@ def _violation(direction: np.ndarray, slack: np.ndarray) -> np.ndarray:
 
 
 class _StandardForm:
-    """A model's LP as dense arrays over nonnegative columns ``y``.
+    """A model's LP, from :func:`_model_arrays`, as dense arrays over
+    nonnegative columns ``y``.
 
     Variables whose bounds meet, and the ``pinned`` ones, are constants and
     leave the matrix.  The rest are shifted (``x = lo + y``), mirrored
@@ -457,23 +426,13 @@ class _StandardForm:
     too, for checking answers in the model's terms.
     """
 
-    def __init__(self, ir: ModelIR, lower: np.ndarray, upper: np.ndarray,
-                 pinned: list[int]):
-        n, m = ir.num_variables, ir.num_rows
-        counts = [len(row.coeffs) for row in ir.rows]
-        dense = np.zeros((m, n))
-        dense[np.repeat(np.arange(m), counts),
-              np.fromiter(itertools.chain.from_iterable(
-                  row.coeffs for row in ir.rows), dtype=int)] = np.fromiter(
-            itertools.chain.from_iterable(
-                row.coeffs.values() for row in ir.rows), dtype=float)
+    def __init__(self, model: _ModelArrays, pinned: list[int]):
+        dense = model.matrix.toarray()
+        lower, upper = model.lower, model.upper
         self.model_rows = dense
-        self.model_rhs = np.array([row.rhs for row in ir.rows], dtype=float)
-        self.model_direction = np.array([_DIRECTION[row.sense]
-                                         for row in ir.rows], dtype=float)
-        self.model_cost = np.zeros(n)
-        if ir.objective:
-            self.model_cost[list(ir.objective)] = list(ir.objective.values())
+        self.model_rhs = model.rhs
+        self.model_direction = model.direction
+        self.model_cost = model.cost
         self.pinned = np.asarray(pinned, dtype=int)
         self.lower, self.upper = lower, upper
 

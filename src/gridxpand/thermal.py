@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linearize import DEFAULT_CERT_GRID, Segment, fit_line_minimax
+from .linearize import CERT_GRID, Segment, fit_line_minimax
 
 TEMPERATURE_CAP = 2000.0          # bisection safety ceiling, K
 STEADY_STATE_TOL = 1e-6           # K
@@ -198,12 +198,13 @@ def heat_balance_breakdown(current: float, temperature: float,
 
 
 def steady_state_temperature(current: float, weather: WeatherRecord,
-                             conductor: ConductorSpec, r_per_m: float,
-                             tol: float = STEADY_STATE_TOL) -> float:
+                             conductor: ConductorSpec,
+                             r_per_m: float) -> float:
     """Temperature at which losses absorb the ohmic and solar gains.
 
     The loss side is strictly increasing in temperature, so the root is
-    unique; plain bisection on [ambient, 2000 K] reaches ``tol`` kelvin.
+    unique; plain bisection on [ambient, 2000 K] reaches
+    :data:`STEADY_STATE_TOL` kelvin.
     """
     if current < 0:
         raise ValueError(f"current must be >= 0, got {current}")
@@ -225,7 +226,7 @@ def steady_state_temperature(current: float, weather: WeatherRecord,
         raise ValueError(
             f"no steady state below {TEMPERATURE_CAP} K for current {current} A")
     lo, hi = ambient, TEMPERATURE_CAP
-    while hi - lo > tol:
+    while hi - lo > STEADY_STATE_TOL:
         mid = 0.5 * (lo + hi)
         if losses(mid) < gain:
             lo = mid
@@ -298,15 +299,11 @@ class RadiationLogFit:
     def max_rel_err(self) -> float:
         return max(self.temp_fit.max_rel_err, self.flux_fit.max_rel_err)
 
-    def linear_radiation(self, temperature: float, ambient_temp: float) -> float:
-        a, b = self.link_coefficients(ambient_temp)
-        return a * temperature + b
-
 
 @functools.lru_cache(maxsize=256)
 def radiation_log_fit(emissivity: float, radiation_coeff: float,
-                      t_lo: float = 273.0, t_hi: float = 373.0,
-                      n_certify: int = DEFAULT_CERT_GRID) -> RadiationLogFit:
+                      t_lo: float = 273.0,
+                      t_hi: float = 373.0) -> RadiationLogFit:
     """Fit both logs and certify the assembled radiation surrogate.
 
     The temperature-side fit lands near slope 0.0031 for the default window;
@@ -319,16 +316,16 @@ def radiation_log_fit(emissivity: float, radiation_coeff: float,
     if not 0 < emissivity <= 1 or radiation_coeff <= 0:
         raise ValueError("emissivity must be in (0, 1] and radiation "
                          "coefficient > 0")
-    temp_fit = fit_line_minimax(np.log, t_lo, t_hi, n_certify=n_certify)
+    temp_fit = fit_line_minimax(np.log, t_lo, t_hi)
     eps_kr = emissivity * radiation_coeff
     z_lo, z_hi = eps_kr * t_lo ** 4, eps_kr * t_hi ** 4
-    flux_fit = fit_line_minimax(np.log, z_lo, z_hi, n_certify=n_certify)
+    flux_fit = fit_line_minimax(np.log, z_lo, z_hi)
 
     # Certify the assembled link: exact eps*Kr*T^4 against its affine image.
     a = 4.0 * temp_fit.slope / flux_fit.slope
     core = (math.log(eps_kr) + 4.0 * temp_fit.intercept
             - flux_fit.intercept) / flux_fit.slope
-    ts = np.linspace(t_lo, t_hi, n_certify)
+    ts = np.linspace(t_lo, t_hi, CERT_GRID)
     band = float(np.abs(eps_kr * ts ** 4 - (a * ts + core)).max())
     return RadiationLogFit(temp_fit=temp_fit, flux_fit=flux_fit,
                            emissivity=emissivity,

@@ -30,7 +30,7 @@ from gridxpand import (BusSpec, CaseSystem, ConductorSpec, ConvectionCoeffs,
                        line_convection, oracle_solve, radiation_log_fit)
 from gridxpand import builder
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
-from gridxpand.linearize import (CosSelection, TrigSegments,
+from gridxpand.linearize import (ANGLE_SPAN, CosSelection, TrigSegments,
                                  gadget_switched_dc_flow, trig_segments)
 
 PROBE_TOL = 1e-7
@@ -178,6 +178,33 @@ def random_instance(rng: np.random.Generator):
     return case, params, mode
 
 
+def reverse_rated_instance(rng: np.random.Generator):
+    """A thermal draw of :func:`random_instance` whose existing line ``E0``
+    (bus 1 to bus 2) is loaded against its direction up to its rating.
+
+    Bus 1 takes 70-95% of the load; a cheap existing unit ``EG2`` at bus 2
+    undercuts every other unit, so the optimum ships from bus 2 all that
+    the rating allows.  The lines' resistances are scaled 4-40x so that the
+    rating binds at these loads.  Unless a built candidate relieves it,
+    ``E0``'s angle difference then sits on its rating-implied lower bound.
+    """
+    mode = None
+    while mode != "dtlr_robust":
+        case, params, mode = random_instance(rng)
+    scale = float(rng.uniform(4.0, 40.0))
+    share = float(rng.uniform(0.7, 0.95))
+    buses = (dataclasses.replace(case.buses[0], load_weight=share),
+             dataclasses.replace(case.buses[1], load_weight=1.0 - share))
+    lines = tuple(dataclasses.replace(
+        c, resistance_at_tmax=scale * c.resistance_at_tmax)
+        for c in case.lines)
+    cheap = GeneratorSpec("EG2", "2", False, 0.0, float(rng.uniform(1.0, 4.0)),
+                          float(rng.uniform(60.0, 200.0)))
+    case = dataclasses.replace(case, buses=buses, lines=lines,
+                               generators=case.generators + (cheap,))
+    return case, params, mode
+
+
 # ---------------------------------------------------------------------------
 # Gadget probes
 
@@ -240,12 +267,11 @@ def scan_cos_side(rng: np.random.Generator, n: int) -> list[str]:
 def scan_switched_dc_flow(rng: np.random.Generator, n: int) -> list[str]:
     """pf must equal u * beta * (a_s - a_r) for every pinned input."""
     bad: list[str] = []
-    window = 1.2
     for k in range(n):
         beta = float(rng.uniform(1.0, 8.0))
         limit = float(rng.uniform(0.5, 3.0))
         u = int(rng.integers(0, 2))
-        span = min(window, limit / beta) * 0.95
+        span = min(ANGLE_SPAN, limit / beta) * 0.95
         diff = float(rng.uniform(-span, span))
         a_r = float(rng.uniform(-0.2, 0.2))
         a_s = a_r + diff
@@ -254,8 +280,7 @@ def scan_switched_dc_flow(rng: np.random.Generator, n: int) -> list[str]:
         pf = ir.add_variable("pf", CONTINUOUS, -limit, limit)
         av = ir.add_variable("a_s", CONTINUOUS, a_s, a_s)
         bv = ir.add_variable("a_r", CONTINUOUS, a_r, a_r)
-        gadget_switched_dc_flow(ir, uv, pf, beta, av, bv, limit, "g",
-                                window=window)
+        gadget_switched_dc_flow(ir, uv, pf, beta, av, bv, limit, "g")
         _check_pinned(bad, f"switch #{k} (u={u}, beta*diff={beta * diff:.4f})",
                       minmax_output(ir, pf), u * beta * diff)
     return bad

@@ -120,6 +120,16 @@ class TestFormatErrors:
         self.expect(doc, "ambient temperature",
                     "case.periods[0].weather['E']")
 
+    @pytest.mark.parametrize("with_kr", [False, True])
+    def test_weather_for_unknown_line_names_it(self, with_kr):
+        doc = toy_document()
+        entry = dict(doc["periods"][0]["weather"]["E"])
+        if not with_kr:
+            del entry["radiation_coeff"]
+        doc["periods"][0]["weather"]["T12"] = entry
+        self.expect(doc, "unknown line 'T12'",
+                    "case.periods[0].weather['T12']")
+
     def test_invalid_json_reports_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "schema": oops\n}\n')
@@ -221,6 +231,17 @@ class TestApplyScenario:
         assert weather["E"].ambient_temp == 300.0
         assert weather["L"].ambient_temp == 310.0
         assert weather["L"].radiation_coeff == 4.0e-9
+
+    @pytest.mark.parametrize("period", ["*", "p1"])
+    def test_explicit_line_beats_wildcard_in_either_key_order(self, period):
+        explicit, wildcard = self.patch(310.0), self.patch(298.0)
+        for lines in ({"L": explicit, "*": wildcard},
+                      {"*": wildcard, "L": explicit}):
+            scenario = Scenario(robust=None, weather={period: lines})
+            case = apply_scenario(toy_case(with_weather=False), scenario)
+            weather = case.period("p1").weather
+            assert weather["L"].ambient_temp == 310.0, list(lines)
+            assert weather["E"].ambient_temp == 298.0, list(lines)
 
     def test_untouched_lines_keep_case_weather(self):
         scenario = Scenario(robust=None,

@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridxpand.runner as runner_module
-import gridxpand.solve as solve_module
 from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
                        external_solve, hbe_certificate_bound,
                        hbe_residual_audit, oracle_solve, plan_document,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
-from support import (STANDARD_ROBUST, random_instance, toy_case,
-                     toy_dc_det_objective, toy_robust_objective)
+from support import (STANDARD_ROBUST, build_window_form, random_instance,
+                     reverse_rated_instance, toy_case, toy_dc_det_objective,
+                     toy_robust_objective)
 
 FAST = SolveConfig(time_limit=60.0)
 
@@ -146,6 +146,35 @@ class TestSeededThermalRuns:
         assert residuals
         assert all(r <= bounds[key] + 1e-9 for key, r in residuals.items())
 
+    def test_reverse_rated_lines_match_the_oracle(self):
+        """Seeded ``run_plan`` against the oracle on draws where an existing
+        line's rating binds against its flow direction.  The oracle solves
+        the window form, whose angle differences span the whole trig window,
+        so a rating-implied angle bound that cuts off feasible flow shows
+        as a worse plan."""
+        rng = np.random.default_rng(2024)
+        n_optimal = n_seeded = n_on_lower = 0
+        for _ in range(16):
+            case, params, mode = reverse_rated_instance(rng)
+            plan = run_plan(case, params, mode, FAST)
+            ir, _ = build_igtep(case, params, mode)
+            window_ir, _ = build_window_form(case, params)
+            ref = oracle_solve(window_ir, SolveConfig(backend="oracle",
+                                                      time_limit=60.0))
+            assert plan.status == ref.status
+            n_seeded += plan.audit["solver"]["seeded"]
+            if ref.status != "optimal":
+                continue
+            n_optimal += 1
+            assert abs(plan.objective - ref.objective) <= \
+                1e-6 * max(1.0, abs(ref.objective))
+            for d in case.periods:
+                name = f"adiff[E0,{d.id}]"
+                lower = ir.variable(name).lower
+                n_on_lower += (lower > -0.6 and abs(
+                    ref.value(window_ir, name) - lower) <= 1e-7)
+        assert n_optimal >= 10 and n_seeded >= 8 and n_on_lower >= 5
+
     def test_seed_pins_every_free_binary(self, monkeypatch):
         """After ``dc_robust`` the seed is one LP: its bounds fix every
         binary the thermal model leaves free, each cosine side to the sign
@@ -233,20 +262,6 @@ class TestStaticSolves:
                     1e-6 * max(1.0, abs(ref.objective))
         assert n_optimal >= 5
 
-    def test_milp_fallback_gives_the_same_answer(self, six_bus,
-                                                 six_bus_robust,
-                                                 monkeypatch):
-        # scipy's milp has no switch for the heuristics, so they run there.
-        case = scale_to_peak(six_bus, 600.0)
-        config = SolveConfig(time_limit=60.0, mip_gap=1e-4)
-        direct = run_plan(case, six_bus_robust, "dc_det", config)
-        monkeypatch.setattr(solve_module, "_highs", None)
-        fallback = run_plan(case, six_bus_robust, "dc_det", config)
-        assert fallback.status == direct.status == "optimal"
-        assert fallback.objective == pytest.approx(direct.objective,
-                                                   rel=1e-4)
-        assert fallback.added_units == direct.added_units
-
 
 def assert_matches_default_heuristics(case, params, mode):
     """``run_plan`` and a solve at HiGHS's defaults agree within the gap."""
@@ -261,12 +276,9 @@ def assert_matches_default_heuristics(case, params, mode):
 
 
 class TestQuietSolves:
-    @pytest.mark.parametrize("binding", ["highs", "milp"])
-    def test_no_solver_output_on_stdout(self, binding, capfd, monkeypatch):
+    def test_no_solver_output_on_stdout(self, capfd):
         """HiGHS prints a raw MIP message while solving this draw's thermal
         model at a 1% gap with the ``dc_robust`` builds pinned."""
-        if binding == "milp":
-            monkeypatch.setattr(solve_module, "_highs", None)
         rng = np.random.default_rng(778899)
         draws = [random_instance(rng) for _ in range(22)]
         case, params, mode = draws[21]

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize as sopt
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,8 @@ from gridxpand import (ModelIR, SolveConfig, build_igtep, external_solve,
                        oracle_solve)
 from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
-from gridxpand.solve import (INFEASIBLE, LIMIT, OPTIMAL, SUB_MIP_OPTIONS,
-                             UNBOUNDED, simplex_lp, solve)
+from gridxpand.solve import (ENUMERATION_CAP, INFEASIBLE, LIMIT, OPTIMAL,
+                             SUB_MIP_OPTIONS, UNBOUNDED, simplex_lp, solve)
 from support import random_instance
 
 SENSES = (LE, GE, EQ)
@@ -120,8 +121,8 @@ class TestSolveConfig:
         {"time_limit": 0.0},
         {"mip_gap": 1.0},
         {"mip_gap": -0.1},
-        {"binary_enumeration_cap": 0},
-        {"binary_enumeration_cap": 25},
+        {"time_limit": -1.0},
+        {"backend": "highs"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -294,18 +295,61 @@ class TestExternalSolve:
         assert sol.status != "optimal"
 
 
+class TestModelArrays:
+    """The vectorised export both backends read, against the row-by-row
+    assembly the external backend used before it: bit for bit."""
+
+    @staticmethod
+    def row_by_row(ir: ModelIR):
+        cost = np.zeros(ir.num_variables)
+        for j, a in ir.objective.items():
+            cost[j] = a
+        data, rows, cols = [], [], []
+        row_lo = np.empty(ir.num_rows)
+        row_hi = np.empty(ir.num_rows)
+        for r, row in enumerate(ir.rows):
+            for j, a in row.coeffs.items():
+                rows.append(r)
+                cols.append(j)
+                data.append(a)
+            row_lo[r] = -np.inf if row.sense == LE else row.rhs
+            row_hi[r] = np.inf if row.sense == GE else row.rhs
+        matrix = sp.csc_array((data, (rows, cols)),
+                              shape=(ir.num_rows, ir.num_variables))
+        return cost, matrix, row_lo, row_hi
+
+    def assert_same(self, ir: ModelIR):
+        model = solve_module._model_arrays(ir)
+        cost, matrix, row_lo, row_hi = self.row_by_row(ir)
+        got = model.matrix.tocsc()
+        for a, b in ((model.cost, cost), (got.indptr, matrix.indptr),
+                     (got.indices, matrix.indices), (got.data, matrix.data),
+                     (np.where(model.direction <= 0.0, model.rhs, -np.inf),
+                      row_lo),
+                     (np.where(model.direction >= 0.0, model.rhs, np.inf),
+                      row_hi)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(model.matrix.toarray(), matrix.toarray())
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(8080)
+        for _ in range(40):
+            self.assert_same(random_lp(rng))
+
+    @pytest.mark.parametrize("mode", ["dc_det", "dc_robust", "dtlr_robust"])
+    def test_shipped_cases(self, six_bus, six_bus_robust, rts24,
+                           rts24_scenario, mode):
+        self.assert_same(build_igtep(six_bus, six_bus_robust, mode)[0])
+        self.assert_same(build_igtep(rts24, rts24_scenario.robust, mode)[0])
+
+
 class TestHighsBinding:
     """The private scipy members the external backend drives.
 
-    ``gridxpand.solve`` falls back to ``scipy.optimize.milp`` when they are
-    missing, which silently drops MIP starts; these tests make such a scipy
-    change fail loudly instead.
+    ``gridxpand.solve`` imports ``scipy.optimize._highspy._core`` directly,
+    so a scipy without it fails at import; these tests make a change to the
+    members it uses fail loudly too.
     """
-
-    def test_binding_imports(self):
-        assert solve_module._highs is not None, (
-            "scipy.optimize._highspy._core did not import; MIP starts are "
-            "ignored and thermal solves run cold")
 
     def test_members_keep_their_shape(self):
         h = solve_module._highs
@@ -399,28 +443,6 @@ class TestHighsBinding:
         monkeypatch.setattr(h, "_Highs", Recording)
         return recorder
 
-    def test_milp_fallback_gives_the_same_result(self, monkeypatch):
-        ir = known_milp()
-        direct = external_solve(ir, start=np.array([1.0, 0.0, 0.0]))
-        monkeypatch.setattr(solve_module, "_highs", None)
-        fallback = external_solve(ir, start=np.array([1.0, 0.0, 0.0]))
-        assert fallback.status == direct.status == OPTIMAL
-        assert fallback.objective == pytest.approx(direct.objective)
-        assert list(fallback.values) == pytest.approx(list(direct.values))
-        assert fallback.value(ir, "y") == pytest.approx(1.0)
-        assert fallback.mip_dual_bound == pytest.approx(-6.0)
-        assert 0.0 <= fallback.mip_gap <= SolveConfig().mip_gap
-        assert fallback.mip_node_count >= 0
-
-    def test_milp_fallback_on_infeasible_and_lp(self, monkeypatch):
-        monkeypatch.setattr(solve_module, "_highs", None)
-        ir = ModelIR()
-        x = ir.add_variable("x", CONTINUOUS, 0.0, 1.0)
-        ir.objective = {x: 1.0}
-        assert external_solve(ir).objective == pytest.approx(0.0)
-        ir.add_row("cap", {x: 1.0}, GE, 2.0)
-        assert external_solve(ir).status == INFEASIBLE
-
 
 class TestPackageNamespace:
     def test_solve_submodule_is_not_shadowed(self):
@@ -506,21 +528,20 @@ class TestOracleSolve:
         assert sol.status == INFEASIBLE
 
     def test_enumeration_cap(self):
+        # Refused before the first of its 2**21 assignments.
         ir = ModelIR()
-        for b in range(5):
+        for b in range(ENUMERATION_CAP + 1):
             ir.add_variable(f"b{b}", BINARY)
         with pytest.raises(SolverError, match="enumeration cap"):
-            oracle_solve(ir, SolveConfig(backend="oracle",
-                                         binary_enumeration_cap=4))
+            oracle_solve(ir)
 
     def test_fixed_binaries_do_not_count_against_cap(self):
         ir = ModelIR()
-        for b in range(5):
+        for b in range(ENUMERATION_CAP + 1):
             ir.add_variable(f"b{b}", BINARY, 1.0, 1.0)
         free = ir.add_variable("f", BINARY)
         ir.objective = {free: 1.0}
-        sol = oracle_solve(ir, SolveConfig(backend="oracle",
-                                           binary_enumeration_cap=1))
+        sol = oracle_solve(ir)
         assert sol.status == "optimal"
         assert sol.objective == 0.0
 

@@ -255,7 +255,8 @@ class TestRadiationLogFit:
         fit = radiation_log_fit(0.75, 2.5e-9)
         for t in (300.0, 340.0, 373.0):
             exact = radiation_loss(0.75, 2.5e-9, t, 298.0)
-            assert abs(fit.linear_radiation(t, 298.0) - exact) <= fit.band
+            a, b = fit.link_coefficients(298.0)
+            assert abs(a * t + b - exact) <= fit.band
 
     def test_temperature_side_coefficients(self):
         fit = radiation_log_fit(0.75, 2.5e-9)
