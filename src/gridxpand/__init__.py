@@ -18,15 +18,14 @@ from .errors import (CaseFormatError, CaseValidationError, CyclingGuardError,
 from .ir import ModelIR, Row, Variable
 from .uncertainty import (NormalApprox, RobustParams, binomial_normal_approx,
                           binomial_pmf, inverse_normal_cdf, normal_cdf,
-                          normal_pdf, omega_from_reliability, robust_margin)
+                          omega_from_reliability, robust_margin)
 from .linearize import (Segment, TrigSegments, certify_segment,
                         fit_line_minimax, trig_segments)
 from .thermal import (ConductorSpec, ConvectionCoeffs, HbeBreakdown,
                       RadiationLogFit, WeatherRecord, ampacity,
                       convection_coefficients, heat_balance_breakdown,
                       line_convection, radiation_log_fit, radiation_loss,
-                      resistance_at_temperature, reynolds_number,
-                      steady_state_temperature)
+                      reynolds_number, steady_state_temperature)
 from .solve import SolveConfig, Solution, external_solve, oracle_solve
 from .network import (BusSpec, CaseSystem, GeneratorSpec, LineSpec, PeriodSpec,
                       Violation, scale_to_peak, validate_case)
@@ -45,16 +44,15 @@ __all__ = [
     "UnknownEntityError", "ModelBuildError", "ExtractionError", "SolverError",
     "CyclingGuardError",
     "Variable", "Row", "ModelIR",
-    "normal_cdf", "normal_pdf", "inverse_normal_cdf", "omega_from_reliability",
+    "normal_cdf", "inverse_normal_cdf", "omega_from_reliability",
     "RobustParams", "binomial_pmf", "NormalApprox", "binomial_normal_approx",
     "robust_margin",
     "Segment", "certify_segment", "fit_line_minimax", "TrigSegments",
     "trig_segments",
     "ConductorSpec", "WeatherRecord", "ConvectionCoeffs", "HbeBreakdown",
     "RadiationLogFit", "reynolds_number", "convection_coefficients",
-    "line_convection", "radiation_loss", "resistance_at_temperature",
-    "heat_balance_breakdown", "steady_state_temperature", "ampacity",
-    "radiation_log_fit",
+    "line_convection", "radiation_loss", "heat_balance_breakdown",
+    "steady_state_temperature", "ampacity", "radiation_log_fit",
     "SolveConfig", "Solution", "external_solve", "oracle_solve",
     "BusSpec", "LineSpec", "GeneratorSpec", "PeriodSpec", "CaseSystem",
     "Violation", "validate_case", "scale_to_peak",

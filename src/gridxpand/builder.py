@@ -20,16 +20,19 @@ angles) and differ in how line capacity is modeled:
     surrogate.  Temperature has no cost and every loss rises with it, so
     the balance is loosest at ``t_max`` and projects onto one number per
     line and period, computed at build time: the rating ``|flow| <= R``
-    (:class:`LineRating`).  It bounds an existing line's flow column and
-    angle difference, and gates a candidate's flow by its build binary.  Every big-M constant is
-    logged in the model metadata for post-solve auditing.
+    (:class:`LineRating`, from one :func:`_line_rating` call).  It bounds
+    an existing line's flow column and angle difference, and gates a
+    candidate's flow by its build binary.  Every big-M constant is logged
+    in the model metadata for post-solve auditing.
 
 Solutions come back through :func:`extract_plan`, which refuses fractional
 binaries, recomputes the objective from case data, and reports big-M
 relaxations that bind suspiciously.  :func:`hbe_residual_audit` closes the
-loop by evaluating the true nonlinear heat balance at the plan's operating
+loop by evaluating the true nonlinear heat balance
+(:func:`~gridxpand.thermal.heat_balance_breakdown`) at the plan's operating
 points; :func:`hbe_certificate_bound` states how large those residuals may
-legitimately be, given the certified linearization gaps.
+legitimately be, from the certified gaps of the same ratings the model was
+built from.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .errors import ExtractionError, ModelBuildError
 from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR
 from .linearize import TrigSegments, gadget_switched_dc_flow, trig_segments
 from .network import CaseSystem, LineSpec, validate_case
-from .thermal import (RadiationLogFit, WeatherRecord, line_convection,
-                      radiation_log_fit)
+from .thermal import (WeatherRecord, heat_balance_breakdown,
+                      line_convection, radiation_log_fit)
 from .uncertainty import RobustParams, robust_margin
 
 MODES = ("dc_det", "dc_robust", "dtlr_robust")
@@ -70,7 +73,9 @@ class LineRating:
     the solar margin.  Temperature has no cost and every loss rises with
     it, so ``T = t_max`` is the loosest choice and the balance projects
     exactly onto ``|flow| <= amps``.  ``amps`` is ``None`` when no
-    temperature balances even zero current.
+    temperature balances even zero current.  ``sq_gap`` is the cuts'
+    certified undershoot of the ohmic term and ``band`` the radiation
+    link's, both W/m; :func:`hbe_certificate_bound` reads them.
     """
 
     amps: float | None
@@ -80,6 +85,8 @@ class LineRating:
     slope: float                # W/m per K
     t_floor: float              # K
     t_max: float                # K
+    sq_gap: float               # W/m
+    band: float                 # W/m
 
     def temperature(self, flow: float) -> float:
         """Lowest temperature at which the linear balance admits ``|flow|``."""
@@ -291,11 +298,10 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             a_s = vm.angle[c.from_bus, d.id]
             a_r = vm.angle[c.to_bus, d.id]
 
-            x_ac, c2, sq_gaps[tag], fit = _balance_linearization(
-                c, weather, trig, i_base)
-            rad_bands[tag] = fit.band
-            rating = _line_rating(c, weather, params, fit, x_ac, c2)
+            rating = _line_rating(c, weather, params, trig, i_base)
             vm.ratings[key] = rating
+            sq_gaps[tag] = rating.sq_gap
+            rad_bands[tag] = rating.band
             if rating.amps is None:
                 # No temperature up to t_max balances even zero current: an
                 # existing line makes the model infeasible, a candidate
@@ -320,6 +326,7 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
             ac_coeffs = {x: s_sin * c.susceptance - s_cos * c.conductance,
                          sel.side_times_x: 2.0 * s_cos * c.conductance}
 
+            x_ac = rating.cut_range
             cap = x_ac if c.candidate else amps
             pf = ir.add_variable(f"flow[{tag}]", CONTINUOUS, -cap, cap)
             vm.flow[key] = pf
@@ -345,26 +352,6 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                 ir.add_row(f"acflow[{tag}]", row, EQ, 0.0)
 
 
-def _balance_linearization(c: LineSpec, weather: WeatherRecord,
-                           trig: TrigSegments, i_base: float
-                           ) -> tuple[float, float, float, RadiationLogFit]:
-    """The linearized heat balance's constants for one line and period.
-
-    Returns the current range ``x_ac`` (p.u.) the square cuts span, the
-    ohmic coefficient ``c2`` (W/m per (p.u.)**2), the cuts' certified gap
-    (W/m) and the radiation link fitted over ``[min(273, T_env), max(373,
-    t_max)]``.  The model and :func:`hbe_certificate_bound` both read them
-    here, so the bound certifies the rows that were built.
-    """
-    x_ac = _ac_flow_bound(c, trig)
-    c2 = c.resistance_per_meter * i_base * i_base
-    sq_gap = c2 * ((x_ac / (SQUARE_CUTS - 1)) / 2.0) ** 2
-    fit = radiation_log_fit(c.conductor.emissivity, weather.radiation_coeff,
-                            min(273.0, weather.ambient_temp),
-                            max(373.0, c.t_max))
-    return x_ac, c2, sq_gap, fit
-
-
 def _angle_bounds(c: LineSpec, trig: TrigSegments,
                   amps: float) -> tuple[float, float]:
     """Bounds on a line's angle difference ``x``, rad.
@@ -388,21 +375,30 @@ def _angle_bounds(c: LineSpec, trig: TrigSegments,
 
 
 def _line_rating(c: LineSpec, weather: WeatherRecord, params: RobustParams,
-                 fit: RadiationLogFit, x_ac: float, c2: float) -> LineRating:
+                 trig: TrigSegments, i_base: float) -> LineRating:
     """The robust heat balance of one built line and period, solved at
-    build time for its largest admissible current."""
-    phi_omega = params.phi * params.omega
+    build time for its largest admissible current.
+
+    The square cuts span the line's current range over the trig window,
+    and the radiation link is fitted over ``[min(273, T_env), max(373,
+    t_max)]``.
+    """
+    x_ac = _ac_flow_bound(c, trig)
+    c2 = c.resistance_per_meter * i_base * i_base
     t_env = weather.ambient_temp
     # Governing forced convection under its robust cap.
-    scale = (1.0 - phi_omega) * line_convection(c.conductor, weather).governing
+    scale = ((1.0 - params.phi * params.omega)
+             * line_convection(c.conductor, weather).governing)
     # Radiation through the log-domain link a*T + b.  Radiated power may
     # not go negative, which sets the lowest admissible temperature.
+    fit = radiation_log_fit(c.conductor.emissivity, weather.radiation_coeff,
+                            min(273.0, t_env), max(373.0, c.t_max))
     a_rad, b_rad = fit.link_coefficients(t_env)
     # Ohmic plus the solar margin must fit in the capped losses.
     qs = weather.solar_gain
-    solar_term = qs + phi_omega * qs - params.mu * max(1.0, abs(qs))
+    tighten, relax = robust_margin(qs, params)
     budget = (scale * (c.t_max - t_env) + params.mu
-              + a_rad * c.t_max + b_rad - solar_term)
+              + a_rad * c.t_max + b_rad - (qs + tighten - relax))
     t_floor = max(t_env, -b_rad / a_rad)
     amps = None
     if t_floor <= c.t_max and budget >= 0.0:
@@ -410,7 +406,9 @@ def _line_rating(c: LineSpec, weather: WeatherRecord, params: RobustParams,
         amps = min(x_ac, float(np.min((budget / c2 + points * points)
                                       / (2.0 * points))))
     return LineRating(amps=amps, cut_range=x_ac, c2=c2, budget=budget,
-                      slope=scale + a_rad, t_floor=t_floor, t_max=c.t_max)
+                      slope=scale + a_rad, t_floor=t_floor, t_max=c.t_max,
+                      sq_gap=c2 * ((x_ac / (SQUARE_CUTS - 1)) / 2.0) ** 2,
+                      band=fit.band)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +524,11 @@ def hbe_residual_audit(plan: PlanResult, case: CaseSystem) -> dict[tuple[str, st
     """Signed nonlinear heat-balance residual at the plan's operating points.
 
     For every built line and period, evaluates gains minus losses of the
-    exact physics (quadratic ohmic term, governing forced convection,
-    quartic radiation) at the reported temperature and current.  Positive
-    residuals mean the linear model admitted more heat than the physics
-    removes; they must stay within :func:`hbe_certificate_bound`.
+    exact physics (:func:`~gridxpand.thermal.heat_balance_breakdown`:
+    quadratic ohmic term, governing forced convection, quartic radiation)
+    at the reported temperature and current.  Positive residuals mean the
+    linear model admitted more heat than the physics removes; they must
+    stay within :func:`hbe_certificate_bound`.
     """
     if plan.mode != "dtlr_robust":
         raise ExtractionError("heat-balance audit applies to dtlr_robust plans")
@@ -541,17 +540,9 @@ def hbe_residual_audit(plan: PlanResult, case: CaseSystem) -> dict[tuple[str, st
             if c.candidate and c.id not in built:
                 continue
             key = (c.id, d.id)
-            temp = plan.temperatures[key]
-            amps = abs(plan.flows[key]) * i_base
-            weather = d.weather[c.id]
-            coeffs = line_convection(c.conductor, weather)
-            t_env = weather.ambient_temp
-            gains = (amps * amps * c.resistance_per_meter
-                     + weather.solar_gain)
-            losses = (coeffs.governing * (temp - t_env)
-                      + c.conductor.emissivity * weather.radiation_coeff
-                      * (temp ** 4 - t_env ** 4))
-            residuals[key] = gains - losses
+            residuals[key] = heat_balance_breakdown(
+                abs(plan.flows[key]) * i_base, plan.temperatures[key],
+                d.weather[c.id], c.conductor, c.resistance_per_meter).residual
     return residuals
 
 
@@ -571,9 +562,8 @@ def hbe_certificate_bound(case: CaseSystem, params: RobustParams
     for d in case.periods:
         for c in case.lines:
             weather = d.weather[c.id]
-            _, _, sq_gap, fit = _balance_linearization(c, weather, trig,
-                                                       i_base)
+            rating = _line_rating(c, weather, params, trig, i_base)
             qs = weather.solar_gain
-            bounds[c.id, d.id] = (sq_gap + fit.band
+            bounds[c.id, d.id] = (rating.sq_gap + rating.band
                                   + params.mu * (1.0 + max(1.0, abs(qs))))
     return bounds

@@ -104,7 +104,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.backend not in ("external", "oracle"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
         if not 0 <= self.mip_gap < 1:
             raise ValueError(f"mip gap must be in [0, 1), got {self.mip_gap}")
@@ -142,14 +142,6 @@ def solve(ir: ModelIR, config: SolveConfig | None = None, *,
 # External backend (HiGHS through scipy's private binding)
 
 
-def _vacuous_row_ok(rhs: float, sense: str) -> bool:
-    if sense == LE:
-        return 0.0 <= rhs + 1e-9
-    if sense == GE:
-        return 0.0 >= rhs - 1e-9
-    return abs(rhs) <= 1e-9
-
-
 def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                    start: np.ndarray | None = None,
                    bounds_override: dict[int, tuple[float, float]]
@@ -166,14 +158,14 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
     n = ir.num_variables
+    model = _model_arrays(ir, bounds_override)
     if n == 0:
-        ok = all(_vacuous_row_ok(row.rhs, row.sense) for row in ir.rows)
+        ok = bool(np.all(_violation(model.direction, model.rhs) <= 1e-9))
         return Solution(OPTIMAL if ok else INFEASIBLE,
                         0.0 if ok else None,
                         np.zeros(0) if ok else None,
                         time.perf_counter() - t0, "external")
 
-    model = _model_arrays(ir, bounds_override)
     matrix = model.matrix.tocsc()
     integrality = np.array([1 if v.kind == BINARY else 0 for v in ir.variables])
     with _stdout_to_stderr():

@@ -1,13 +1,14 @@
 """Conductor heat-balance physics for dynamic thermal line rating.
 
-Everything here works per unit length of conductor (W/m); callers convert
-total line resistance to ohms-per-meter before entering.  The balance pits
-ohmic and solar gains against forced convection (two correlation branches,
-the larger governs) and radiation.  On top of the exact physics sit two
-oracles used to validate the planning model — the steady-state temperature
-for a given current, and the ampacity for a given temperature ceiling —
-plus the log-domain linearization of the radiation term that the MILP
-consumes.
+Everything here works per unit length of conductor (W/m); callers pass the
+line's per-meter resistance.  The balance pits ohmic and solar gains
+against forced convection (two correlation branches, the larger governs)
+and radiation.  The exact losses are written once, in
+:func:`forced_convection` and :func:`radiation_loss`; the breakdown the
+plan audit reads, the steady-state temperature for a given current and the
+ampacity for a given temperature ceiling all call them.  Beside the exact
+physics sits the log-domain linearization of the radiation term that the
+MILP consumes.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ STEADY_STATE_TOL = 1e-6           # K
 class ConductorSpec:
     """Datasheet constants for one conductor type.
 
-    ``resistance_ref`` is the total resistance of the line at
-    ``temperature_ref``; per-meter values are derived with the line length.
-    ``heat_capacity`` and ``elevation`` are carried for completeness but the
-    steady-state model does not read them.
+    The balance reads the per-meter resistance from the line
+    (``LineSpec.resistance_at_tmax``), not from this record.
+    ``resistance_ref``, ``temperature_ref``, ``thermal_resistivity``,
+    ``elevation`` and ``heat_capacity`` are parsed and validated, but no
+    model reads them.
     """
 
     diameter: float               # m
@@ -97,7 +99,10 @@ class ConvectionCoeffs:
 
 @dataclass(frozen=True)
 class HbeBreakdown:
-    """One evaluated heat balance; residual is gains minus losses."""
+    """One evaluated heat balance; residual is gains minus losses.
+
+    The plan audit reports :attr:`residual` for every built line-period.
+    """
 
     ohmic: float
     solar: float
@@ -107,7 +112,7 @@ class HbeBreakdown:
 
     @property
     def residual(self) -> float:
-        return self.ohmic + self.solar - self.convection - self.radiation
+        return (self.ohmic + self.solar) - (self.convection + self.radiation)
 
 
 def reynolds_number(diameter: float, wind_speed: float, air_density: float,
@@ -167,21 +172,6 @@ def radiation_loss(emissivity: float, radiation_coeff: float,
     return emissivity * radiation_coeff * (temperature ** 4 - ambient_temp ** 4)
 
 
-def resistance_at_temperature(temperature: float, resistance_ref: float,
-                              temperature_ref: float,
-                              thermal_resistivity: float) -> float:
-    """Affine resistance model ``R_ref * (1 + h*(T - T_ref))``."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0 K, got {temperature}")
-    value = resistance_ref * (
-        1.0 + thermal_resistivity * (temperature - temperature_ref))
-    if value <= 0:
-        raise ValueError(
-            f"resistance model returned {value} ohm at {temperature} K; "
-            "check the thermal resistivity sign")
-    return value
-
-
 def heat_balance_breakdown(current: float, temperature: float,
                            weather: WeatherRecord, conductor: ConductorSpec,
                            r_per_m: float) -> HbeBreakdown:
@@ -214,13 +204,12 @@ def steady_state_temperature(current: float, weather: WeatherRecord,
     ambient = weather.ambient_temp
     if gain == 0.0:
         return ambient
-    coeffs = line_convection(conductor, weather)
-    k = coeffs.governing
-    eps_kr = conductor.emissivity * weather.radiation_coeff
+    k = line_convection(conductor, weather).governing
 
     def losses(t: float) -> float:
-        return (k * (t - ambient)
-                + eps_kr * (t ** 4 - ambient ** 4))
+        return (forced_convection(k, t, ambient)
+                + radiation_loss(conductor.emissivity,
+                                 weather.radiation_coeff, t, ambient))
 
     if losses(TEMPERATURE_CAP) < gain:
         raise ValueError(
@@ -245,11 +234,11 @@ def ampacity(t_max: float, weather: WeatherRecord, conductor: ConductorSpec,
     """
     if r_per_m <= 0:
         raise ValueError(f"per-meter resistance must be > 0, got {r_per_m}")
-    _check_above_ambient(t_max, weather.ambient_temp)
-    coeffs = line_convection(conductor, weather)
-    eps_kr = conductor.emissivity * weather.radiation_coeff
-    headroom = (coeffs.governing * (t_max - weather.ambient_temp)
-                + eps_kr * (t_max ** 4 - weather.ambient_temp ** 4)
+    t_env = weather.ambient_temp
+    k = line_convection(conductor, weather).governing
+    headroom = (forced_convection(k, t_max, t_env)
+                + radiation_loss(conductor.emissivity,
+                                 weather.radiation_coeff, t_max, t_env)
                 - weather.solar_gain)
     if headroom <= 0:
         return 0.0

@@ -45,10 +45,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT2PI
-
-
 def inverse_normal_cdf(p: float) -> float:
     """Standard normal quantile by Acklam's approximation plus Halley polish.
 

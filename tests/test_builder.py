@@ -11,7 +11,8 @@ import pytest
 from gridxpand import (ModelIR, RobustParams, SolveConfig, WeatherRecord,
                        build_igtep, extract_plan, external_solve,
                        hbe_certificate_bound, hbe_residual_audit,
-                       oracle_solve, radiation_log_fit, robust_margin)
+                       line_convection, oracle_solve, radiation_log_fit,
+                       robust_margin)
 from gridxpand.builder import MODES, SQUARE_CUTS, reference_bus
 from gridxpand.errors import ExtractionError, ModelBuildError
 from gridxpand.ir import CONTINUOUS, EQ, GE, LE
@@ -314,6 +315,25 @@ class TestThermalPlans:
         assert set(residuals) == {("E", "p1"), ("L", "p1")}
         for key, residual in residuals.items():
             assert residual <= bounds[key] + 1e-9, key
+
+    def test_audit_reports_the_exact_heat_balance(self):
+        case = stressed_case()
+        plan, _, _, _ = solved_plan(case, STANDARD_ROBUST, "dtlr_robust")
+        residuals = hbe_residual_audit(plan, case)
+        assert set(residuals) == {("E", "p1"), ("L", "p1")}
+        for (line_id, period_id), residual in residuals.items():
+            c = case.line(line_id)
+            weather = case.period(period_id).weather[line_id]
+            k = line_convection(c.conductor, weather).governing
+            current = abs(plan.flows[line_id, period_id]) * case.current_base
+            t = plan.temperatures[line_id, period_id]
+            t_env = weather.ambient_temp
+            expected = (current ** 2 * c.resistance_per_meter
+                        + weather.solar_gain
+                        - k * (t - t_env)
+                        - c.conductor.emissivity * weather.radiation_coeff
+                        * (t ** 4 - t_env ** 4))
+            assert residual == pytest.approx(expected, rel=1e-12), line_id
 
     def test_audit_skips_unbuilt_lines(self):
         case = toy_case()

@@ -80,6 +80,12 @@ class TestPlan:
         assert code == 2
         assert "robust parameters" in capsys.readouterr().err
 
+    def test_nan_time_limit_rejected(self, toy_path, capsys):
+        code = main(["plan", "--case", toy_path, "--mode", "dc_det",
+                     "--time-limit", "nan"])
+        assert code == 2
+        assert "time limit" in capsys.readouterr().err
+
     def test_scenario_supplies_params(self, six_bus_path,
                                       six_bus_scenario_path, capsys):
         code = main(["plan", "--case", six_bus_path,

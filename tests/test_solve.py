@@ -123,6 +123,7 @@ class TestSolveConfig:
         {"mip_gap": -0.1},
         {"time_limit": -1.0},
         {"backend": "highs"},
+        {"time_limit": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -279,12 +280,18 @@ class TestExternalSolve:
         assert sol.objective == 0.0
         assert sol.values.shape == (0,)
 
-    def test_empty_model_with_impossible_row(self):
+    @pytest.mark.parametrize("sense,rhs,holds", [
+        (LE, 1.0, True), (LE, -1.0, False),
+        (GE, -1.0, True), (GE, 1.0, False),
+        (EQ, 0.0, True), (EQ, 1.0, False),
+    ], ids=["le-holds", "le-fails", "ge-holds", "ge-fails", "eq-holds",
+            "eq-fails"])
+    def test_empty_model_with_impossible_row(self, sense, rhs, holds):
         ir = ModelIR()
-        ir.add_row("impossible", {}, GE, 1.0)
+        ir.add_row("vacuous", {}, sense, rhs)
         sol = external_solve(ir)
-        assert sol.status == INFEASIBLE
-        assert sol.objective is None
+        assert sol.status == (OPTIMAL if holds else INFEASIBLE)
+        assert sol.objective == (0.0 if holds else None)
 
     def test_infeasible_model(self):
         ir = ModelIR()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,10 +10,9 @@ import scipy.optimize as sopt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridxpand import (ConductorSpec, WeatherRecord, ampacity,
-                       convection_coefficients, heat_balance_breakdown,
-                       line_convection, radiation_log_fit, radiation_loss,
-                       resistance_at_temperature, reynolds_number,
+from gridxpand import (WeatherRecord, ampacity, convection_coefficients,
+                       heat_balance_breakdown, line_convection,
+                       radiation_log_fit, radiation_loss, reynolds_number,
                        steady_state_temperature)
 from gridxpand.thermal import TEMPERATURE_CAP, forced_convection
 from support import DEFAULT_CONDUCTOR, DEFAULT_WEATHER
@@ -94,23 +92,6 @@ class TestLossTerms:
             radiation_loss(0.75, 2.5e-9, 290.0, 298.0)
         with pytest.raises(ValueError, match="below ambient"):
             forced_convection(3.5, 290.0, 298.0)
-
-
-class TestResistanceModel:
-    def test_reference_point(self):
-        assert resistance_at_temperature(298.0, 2.811, 298.0, 0.0341) == 2.811
-
-    def test_slope(self):
-        r_hot = resistance_at_temperature(299.0, 2.811, 298.0, 0.0341)
-        assert r_hot - 2.811 == pytest.approx(2.811 * 0.0341, rel=1e-10)
-
-    def test_negative_result_rejected(self):
-        with pytest.raises(ValueError, match="resistance model"):
-            resistance_at_temperature(200.0, 2.811, 298.0, 0.5)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            resistance_at_temperature(-1.0, 2.811, 298.0, 0.0341)
 
 
 class TestSteadyState:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridxpand import (NormalApprox, RobustParams, binomial_normal_approx,
                        binomial_pmf, inverse_normal_cdf, normal_cdf,
-                       normal_pdf, omega_from_reliability, robust_margin)
+                       omega_from_reliability, robust_margin)
 
 
 class TestNormal:
@@ -21,11 +21,6 @@ class TestNormal:
         for x in xs:
             assert normal_cdf(float(x)) == pytest.approx(
                 stats.norm.cdf(x), rel=1e-13, abs=1e-300)
-
-    def test_pdf_matches_scipy(self):
-        for x in np.linspace(-6.0, 6.0, 121):
-            assert normal_pdf(float(x)) == pytest.approx(
-                stats.norm.pdf(x), rel=1e-13)
 
     def test_quantile_matches_scipy(self):
         for p in (1e-10, 1e-6, 0.01, 0.02425, 0.3, 0.5, 0.8, 0.95,
