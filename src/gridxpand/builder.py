@@ -563,7 +563,7 @@ def hbe_certificate_bound(case: CaseSystem, params: RobustParams
         for c in case.lines:
             weather = d.weather[c.id]
             rating = _line_rating(c, weather, params, trig, i_base)
-            qs = weather.solar_gain
+            _, relax = robust_margin(weather.solar_gain, params)
             bounds[c.id, d.id] = (rating.sq_gap + rating.band
-                                  + params.mu * (1.0 + max(1.0, abs(qs))))
+                                  + (params.mu + relax))
     return bounds

@@ -337,12 +337,18 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
             kr = None
             if isinstance(raw, dict) and "kr" in raw:
                 kr = _number(raw, "kr", patch_where)
-            weather[period_id][line_id] = WeatherPatch(
+            patch = WeatherPatch(
                 ambient_k=_number(raw, "ambient_k", patch_where),
                 wind_mps=_number(raw, "wind_mps", patch_where),
                 solar_w_per_m=_number(raw, "solar_w_per_m", patch_where),
                 kr=kr,
             )
+            try:   # WeatherRecord's checks; an absent kr stands in as 1.0
+                WeatherRecord(patch.ambient_k, patch.wind_mps,
+                              patch.solar_w_per_m, 1.0 if kr is None else kr)
+            except ValueError as exc:
+                raise CaseFormatError(str(exc), patch_where) from exc
+            weather[period_id][line_id] = patch
     return Scenario(robust=robust, weather=weather)
 
 

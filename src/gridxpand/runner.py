@@ -7,15 +7,14 @@ the case, builds, solves and extracts on its own copy, so a crash or solver
 failure is recorded in that row and never aborts the sweep.
 
 Thermal plans on the external backend start from an incumbent: the
-cheaper ``dc_robust`` plan fixes every binary of the thermal model (its
+cheaper ``dc_robust`` plan sets every binary of the thermal model (its
 build choices, and each cosine side to the sign of its angle difference),
-the one LP that is left gives a feasible point, and that point is the MIP
-start of the full solve.  Without it HiGHS proves a tight root bound early
-but finds good incumbents late.
+and HiGHS completes that MIP start by the LP that is left.  Without it
+HiGHS proves a tight root bound early but finds good incumbents late.
 
-Static-rating solves (``dc_det``, ``dc_robust``, also as the first seed
-stage) run without HiGHS's sub-MIP heuristics: root rounding already finds
-their optimum, and RINS, RENS and root reduced cost then took most of the
+Static-rating solves (``dc_det``, ``dc_robust``, also as the seed) run
+without HiGHS's sub-MIP heuristics: root rounding already finds their
+optimum, and RINS, RENS and root reduced cost then took most of the
 search.  The full thermal solve keeps them, because there they pay off.
 
 Result documents are plain data with sorted keys and no timestamps,
@@ -32,8 +31,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .builder import (MODES, PlanResult, VarMap, build_igtep, extract_plan,
                       hbe_certificate_bound, hbe_residual_audit)
 from .network import CaseSystem, scale_to_peak
@@ -41,30 +38,30 @@ from .solve import SolveConfig, external_solve, solve
 from .uncertainty import RobustParams
 
 DISPLAY_COST_UNIT = 1e7            # tables print $ x 10^7
-SEED_TIME_SHARE = 0.25             # of the time limit, for the seed stages
+SEED_TIME_SHARE = 0.25             # of the time limit, for the seed solve
 
 
 def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
              config: SolveConfig | None = None) -> PlanResult:
     """Build, solve and extract one case in one mode.
 
-    A ``dtlr_robust`` solve on the external backend is seeded in three
-    steps: solve ``dc_robust`` on the same case, parameters and gap, solve
-    the thermal model with every binary fixed by that plan (an LP, see
-    :func:`_thermal_start`), then pass its solution as a MIP start to the
-    full thermal solve at ``config.mip_gap``.  The seed stages spend at most
+    A ``dtlr_robust`` solve on the external backend is seeded: it solves
+    ``dc_robust`` on the same case, parameters and gap, and passes that
+    plan's binaries to the full thermal solve at ``config.mip_gap`` as a
+    MIP start (see :func:`_thermal_start`).  The seed solve spends at most
     ``SEED_TIME_SHARE`` of ``config.time_limit`` and the full solve gets
-    what is left, so ``plan.audit["runtime_s"]`` (all stages) stays within
-    the limit.  If a stage finds no plan, the full solve runs cold.  The
-    start is only an incumbent: the status, the proven gap and every audit
-    are those of the full solve.
+    what is left, so ``plan.audit["runtime_s"]`` (both solves) stays within
+    the limit.  HiGHS completes the start by an LP over the other columns
+    and drops a start it cannot complete; then, as when ``dc_robust`` finds
+    no plan, the full solve runs cold.  The status, the proven gap and
+    every audit are those of the full solve.
 
     ``dc_det`` and ``dc_robust`` are solved with ``sub_mips=False`` (see
     :func:`~gridxpand.solve.external_solve`).
 
     ``plan.audit["solver"]`` holds the final gap, dual bound, node count,
-    whether a start was given and whether the final solve allowed the
-    sub-MIP heuristics; like ``runtime_s`` it stays out of
+    whether a start was passed to HiGHS and whether the final solve allowed
+    the sub-MIP heuristics; like ``runtime_s`` it stays out of
     :func:`plan_document`.  For thermal-rating plans the nonlinear
     heat-balance audit runs automatically and lands in
     ``plan.audit["hbe"]`` next to the certified residual bound.
@@ -104,39 +101,33 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
 
 
 def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
-                   config: SolveConfig, budget: float) -> np.ndarray | None:
-    """A feasible point of the thermal model ``vm`` or ``None``.
+                   config: SolveConfig,
+                   budget: float) -> dict[int, float] | None:
+    """A partial MIP start ``{column: 0/1}`` for the thermal model ``vm``,
+    or ``None`` when ``dc_robust`` has no plan.
 
-    Solves ``dc_robust`` at ``config.mip_gap`` without sub-MIP heuristics,
-    as in :func:`run_plan`.  Then it pins the thermal model's
-    ``build[*]``/``unit[*]`` binaries to that plan and each
+    Solves ``dc_robust`` at ``config.mip_gap`` within ``budget`` seconds,
+    without sub-MIP heuristics, as in :func:`run_plan`.  The start sets the
+    thermal model's ``build[*]``/``unit[*]`` binaries to that plan and each
     ``trig[l,d].cos_side`` to the sign of the plan's angle difference
-    ``angle[from,d] - angle[to,d]``, and solves the LP that is left.  Both
-    solves share ``budget`` seconds; if either finds no point, there is no
-    start.
+    ``angle[from,d] - angle[to,d]``.
     """
-    t0 = time.perf_counter()
     dc_ir, dc_vm = build_igtep(case, params, "dc_robust")
     dc = external_solve(dc_ir, replace(config, time_limit=budget),
                         sub_mips=False)
-    left = budget - (time.perf_counter() - t0)
-    if dc.values is None or left <= 0.0:
+    if dc.values is None:
         return None
-    pinned = {}
+    start = {}
     for thermal, dc_ids in ((vm.line_built, dc_vm.line_built),
                             (vm.unit_built, dc_vm.unit_built)):
         for key, idx in thermal.items():
-            bit = float(round(dc.values[dc_ids[key]]))
-            pinned[idx] = (bit, bit)
+            start[idx] = float(round(dc.values[dc_ids[key]]))
     for c in case.lines:
         for d in case.periods:
             diff = (dc.values[dc_vm.angle[c.from_bus, d.id]]
                     - dc.values[dc_vm.angle[c.to_bus, d.id]])
-            side = 1.0 if diff >= 0.0 else 0.0
-            pinned[vm.cos_side[c.id, d.id]] = (side, side)
-    lp = external_solve(vm.model, replace(config, time_limit=left),
-                        bounds_override=pinned)
-    return lp.values
+            start[vm.cos_side[c.id, d.id]] = 1.0 if diff >= 0.0 else 0.0
+    return start
 
 
 def plan_document(plan: PlanResult) -> dict:

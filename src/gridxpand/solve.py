@@ -129,7 +129,8 @@ class Solution:
 
 
 def solve(ir: ModelIR, config: SolveConfig | None = None, *,
-          start: np.ndarray | None = None, sub_mips: bool = True) -> Solution:
+          start: dict[int, float] | None = None,
+          sub_mips: bool = True) -> Solution:
     """Dispatch on ``config.backend``; the oracle ignores ``start`` and
     ``sub_mips``."""
     config = config if config is not None else SolveConfig()
@@ -143,14 +144,13 @@ def solve(ir: ModelIR, config: SolveConfig | None = None, *,
 
 
 def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
-                   start: np.ndarray | None = None,
-                   bounds_override: dict[int, tuple[float, float]]
-                   | None = None, sub_mips: bool = True) -> Solution:
+                   start: dict[int, float] | None = None,
+                   sub_mips: bool = True) -> Solution:
     """Solve with HiGHS at ``config.mip_gap`` within ``config.time_limit``.
 
-    ``start`` is a full value vector offered to HiGHS as a MIP start; an
-    infeasible start is dropped by HiGHS.  ``bounds_override`` replaces the
-    bounds of the listed variables, as in :func:`simplex_lp`.
+    ``start`` holds values for some or all columns, by index, and is offered
+    to HiGHS as a MIP start; HiGHS completes a partial start by an LP over
+    the other columns and drops a start it cannot complete.
     ``sub_mips=False`` switches off the heuristics in
     :data:`SUB_MIP_OPTIONS`; that changes how fast the optimum is found, not
     the optimum.
@@ -158,7 +158,7 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
     n = ir.num_variables
-    model = _model_arrays(ir, bounds_override)
+    model = _model_arrays(ir)
     if n == 0:
         ok = bool(np.all(_violation(model.direction, model.rhs) <= 1e-9))
         return Solution(OPTIMAL if ok else INFEASIBLE,
@@ -199,10 +199,9 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
             if highs.passModel(lp) == _highs.HighsStatus.kError:
                 raise SolverError("HiGHS refused the model")
             if start is not None:
-                warm = _highs.HighsSolution()
-                warm.col_value = np.asarray(start, dtype=float)
-                warm.value_valid = True
-                highs.setSolution(warm)
+                highs.setSolution(len(start),
+                                  np.fromiter(start, dtype=np.int32),
+                                  np.fromiter(start.values(), dtype=float))
             highs.run()
             model_status = highs.getModelStatus()
             info = highs.getInfo()

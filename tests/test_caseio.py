@@ -193,6 +193,22 @@ class TestScenarioParsing:
         with pytest.raises(CaseFormatError, match="must be an object"):
             parse_scenario({"weather": []})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("ambient_k", 0.0, "ambient temperature"),
+        ("wind_mps", -1.0, "wind speed"),
+        ("solar_w_per_m", -5.0, "solar gain"),
+        ("kr", 0.0, "radiation coefficient"),
+    ], ids=["ambient", "wind", "solar", "kr"])
+    def test_bad_weather_names_file_and_key(self, tmp_path, key, value,
+                                            message):
+        patch = {"ambient_k": 300.0, "wind_mps": 1.0, "solar_w_per_m": 5.0,
+                 key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"weather": {"*": {"*": patch}}}))
+        with pytest.raises(CaseFormatError, match=message) as err:
+            load_scenario(path)
+        assert err.value.location == "bad.json.weather['*']['*']"
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({

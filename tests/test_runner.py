@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
                        hbe_residual_audit, oracle_solve, plan_document,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
+from gridxpand.ir import GE
 from support import (STANDARD_ROBUST, build_window_form, random_instance,
                      reverse_rated_instance, toy_case, toy_dc_det_objective,
                      toy_robust_objective)
@@ -87,9 +87,8 @@ class TestRunPlan:
         assert dc.audit["solver"]["sub_mips"] is False
         calls.clear()
         thermal = run_plan(toy_case(), STANDARD_ROBUST, "dtlr_robust", FAST)
-        # the dc_robust seed stage, the pinned LP, the full solve
-        assert calls == [("external_solve", False), ("external_solve", True),
-                         ("solve", True)]
+        # the dc_robust seed, then the full solve
+        assert calls == [("external_solve", False), ("solve", True)]
         assert thermal.audit["solver"]["sub_mips"] is True
 
     def test_cold_solve_when_dc_robust_finds_no_plan(self):
@@ -176,26 +175,32 @@ class TestSeededThermalRuns:
         assert n_optimal >= 10 and n_seeded >= 8 and n_on_lower >= 5
 
     def test_seed_pins_every_free_binary(self, monkeypatch):
-        """After ``dc_robust`` the seed is one LP: its bounds fix every
-        binary the thermal model leaves free, each cosine side to the sign
-        of the ``dc_robust`` angle difference."""
+        """The start passed to the full solve gives a 0/1 value to every
+        binary the thermal model leaves free, each cosine side the sign of
+        the ``dc_robust`` angle difference."""
         calls = []
-        inner = runner_module.external_solve
 
-        def recording(ir, config, **kwargs):
-            sol = inner(ir, config, **kwargs)
-            calls.append((ir, kwargs.get("bounds_override"), sol))
-            return sol
-        monkeypatch.setattr(runner_module, "external_solve", recording)
+        def recording(name):
+            inner = getattr(runner_module, name)
+
+            def wrapper(ir, config, **kwargs):
+                sol = inner(ir, config, **kwargs)
+                calls.append((ir, kwargs.get("start"), sol))
+                return sol
+            monkeypatch.setattr(runner_module, name, wrapper)
+
+        recording("external_solve")
+        recording("solve")
         case = toy_case()
         plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
         assert plan.audit["solver"]["seeded"] is True
-        (dc_ir, no_pins, dc), (ir, pinned, seed) = calls
-        assert no_pins is None and seed.status == "optimal"
+        (dc_ir, no_start, dc), (ir, start, _) = calls
+        assert no_start is None
+        binaries = {v.index for v in ir.variables if v.kind == "binary"}
         free = {v.index for v in ir.variables
                 if v.kind == "binary" and not v.is_fixed}
-        assert free <= set(pinned)
-        assert all(lo == hi for lo, hi in pinned.values())
+        assert free <= set(start) <= binaries
+        assert set(start.values()) <= {0.0, 1.0}
         sides = {v.index for v in ir.variables
                  if v.name.endswith(".cos_side")}
         assert len(sides) == len(case.lines) * len(case.periods)
@@ -205,21 +210,23 @@ class TestSeededThermalRuns:
                 diff = (dc.value(dc_ir, f"angle[{c.from_bus},{d.id}]")
                         - dc.value(dc_ir, f"angle[{c.to_bus},{d.id}]"))
                 idx = ir.variable(f"trig[{c.id},{d.id}].cos_side").index
-                assert pinned[idx] == ((1.0, 1.0) if diff >= 0.0
-                                       else (0.0, 0.0))
+                assert start[idx] == (1.0 if diff >= 0.0 else 0.0)
 
     def test_worse_start_is_overruled(self, monkeypatch):
         # On small draws the seed is usually optimal already; this start
-        # builds the candidate line the optimum leaves out.
+        # builds the candidate line the optimum leaves out.  A second build
+        # with rows pinning it shows that the start is worse.
         case = toy_case()
         ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
-        pinned = {vm.line_built["L"]: (1.0, 1.0),
-                  vm.unit_built["U1"]: (1.0, 1.0)}
-        worse = external_solve(ir, FAST, bounds_override=pinned)
+        start = {vm.line_built["L"]: 1.0, vm.unit_built["U1"]: 1.0}
+        pinned, _ = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        for idx in start:
+            pinned.add_row(f"pin[{idx}]", {idx: 1.0}, GE, 1.0)
+        worse = external_solve(pinned, FAST)
         ref = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
         assert worse.objective > ref.objective + 1e5
         monkeypatch.setattr(runner_module, "_thermal_start",
-                            lambda *args: worse.values)
+                            lambda *args: start)
         plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
         assert plan.audit["solver"]["seeded"] is True
         assert plan.added_lines == ()
@@ -277,24 +284,14 @@ def assert_matches_default_heuristics(case, params, mode):
 
 class TestQuietSolves:
     def test_no_solver_output_on_stdout(self, capfd):
-        """HiGHS prints a raw MIP message while solving this draw's thermal
-        model at a 1% gap with the ``dc_robust`` builds pinned."""
-        rng = np.random.default_rng(778899)
-        draws = [random_instance(rng) for _ in range(22)]
-        case, params, mode = draws[21]
+        """HiGHS prints a raw MIP message to file descriptor 1 while
+        ``run_plan`` solves this draw's thermal model."""
+        rng = np.random.default_rng(1)
+        draws = [random_instance(rng) for _ in range(11)]
+        case, params, mode = draws[10]
         assert mode == "dtlr_robust"
-        ir, vm = build_igtep(case, params, mode)
-        dc_ir, dc_vm = build_igtep(case, params, "dc_robust")
-        dc = external_solve(dc_ir, FAST, sub_mips=False)
-        pinned = {}
-        for thermal, dc_ids in ((vm.line_built, dc_vm.line_built),
-                                (vm.unit_built, dc_vm.unit_built)):
-            for key, idx in thermal.items():
-                bit = float(round(dc.values[dc_ids[key]]))
-                pinned[idx] = (bit, bit)
-        sol = external_solve(ir, replace(FAST, mip_gap=1e-2),
-                             bounds_override=pinned)
-        assert sol.status == "optimal"
+        plan = run_plan(case, params, mode, FAST)
+        assert plan.status == "optimal"
         assert capfd.readouterr().out == ""
 
 

@@ -254,25 +254,17 @@ class TestExternalSolve:
         assert sol.mip_node_count >= 0
 
     @pytest.mark.parametrize("start", [
-        [1.0, 0.0, 0.0],      # feasible but worse than the optimum
-        [1.0, 1.0, 1.0],      # breaks the budget row; HiGHS drops it
-        [0.0, 1.0, 1.0],      # the optimum itself
+        {0: 1.0, 1: 0.0, 2: 0.0},   # feasible but worse than the optimum
+        {0: 1.0, 1: 1.0, 2: 1.0},   # breaks the budget row; HiGHS drops it
+        {0: 0.0, 1: 1.0, 2: 1.0},   # the optimum itself
+        {1: 1.0},                   # y alone; HiGHS completes the rest
     ])
     def test_start_never_changes_the_optimum(self, start):
         ir = known_milp()
-        sol = external_solve(ir, start=np.array(start))
+        sol = external_solve(ir, start=start)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-6.0)
         assert list(sol.values) == pytest.approx([0.0, 1.0, 1.0])
-
-    def test_bounds_override_pins_binary(self):
-        ir = known_milp()
-        y = ir.variable("y").index
-        sol = external_solve(ir, bounds_override={y: (0.0, 0.0)})
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(-5.0)   # x and z instead
-        assert sol.value(ir, "y") == 0.0
-        assert ir.variable("y").upper == 1.0          # the model is untouched
 
     def test_empty_model(self):
         sol = external_solve(ModelIR())
@@ -384,10 +376,10 @@ class TestHighsBinding:
         highs = h._Highs()
         assert highs.setOptionValue("log_to_console", False) == h.HighsStatus.kOk
         assert highs.passModel(lp) == h.HighsStatus.kOk
-        start = h.HighsSolution()
-        start.col_value = np.array([1.0, 0.0])
-        start.value_valid = True
-        assert highs.setSolution(start) == h.HighsStatus.kOk
+        # the sparse overload, (count, int32 indices, values), as in
+        # scipy 1.17.1; a start for x alone
+        assert highs.setSolution(1, np.array([0], dtype=np.int32),
+                                 np.array([1.0])) == h.HighsStatus.kOk
         highs.run()
         assert highs.getModelStatus().name == "kOptimal"
         info = highs.getInfo()
