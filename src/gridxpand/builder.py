@@ -157,13 +157,21 @@ def _ac_flow_bound(line: LineSpec, trig: TrigSegments) -> float:
 
 
 def build_igtep(case: CaseSystem, params: RobustParams | None,
-                mode: str) -> tuple[ModelIR, VarMap]:
+                mode: str, *,
+                _ratings: dict[tuple[str, str], LineRating] | None = None
+                ) -> tuple[ModelIR, VarMap]:
     """Assemble the MILP for one case and mode.
 
     ``params`` may be omitted only in ``dc_det`` mode.  The returned model
     is self-contained; its metadata records the mode, the robustness
     parameters, every big-M constant with the bound it was sized from, and
     the linearization certificates the audit bound is built from.
+
+    ``_ratings`` is private to the thermal seed (see
+    :func:`~gridxpand.runner.run_plan`): given a thermal model's
+    :attr:`VarMap.ratings`, a ``dc_det`` or ``dc_robust`` model limits each
+    line-period's flow by its thermal rating instead of the line's static
+    ``flow_limit`` (see :func:`_build_dc_flows`).
     """
     if mode not in MODES:
         raise ModelBuildError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -228,26 +236,7 @@ def build_igtep(case: CaseSystem, params: RobustParams | None,
         }
         _build_thermal_flows(case, params, ir, vm, trig, big_m_log)
     else:
-        for d in case.periods:
-            for c in case.lines:
-                pf = ir.add_variable(f"flow[{c.id},{d.id}]", CONTINUOUS,
-                                     -c.flow_limit, c.flow_limit)
-                vm.flow[c.id, d.id] = pf
-                a_s = vm.angle[c.from_bus, d.id]
-                a_r = vm.angle[c.to_bus, d.id]
-                if c.candidate:
-                    tag = f"switch[{c.id},{d.id}]"
-                    big_m_log[f"{tag}.ohm_relax"] = gadget_switched_dc_flow(
-                        ir, vm.line_built[c.id], pf, c.susceptance, a_s, a_r,
-                        c.flow_limit, tag)
-                    ir.metadata["relax_rows"].append(
-                        (f"{tag}.ohm_hi", vm.line_built[c.id]))
-                    ir.metadata["relax_rows"].append(
-                        (f"{tag}.ohm_lo", vm.line_built[c.id]))
-                else:
-                    ir.add_row(f"ohm[{c.id},{d.id}]",
-                               {pf: 1.0, a_s: -c.susceptance,
-                                a_r: c.susceptance}, EQ, 0.0)
+        _build_dc_flows(case, ir, vm, big_m_log, _ratings)
 
     # -- nodal balance -----------------------------------------------------
     for d in case.periods:
@@ -271,6 +260,46 @@ def build_igtep(case: CaseSystem, params: RobustParams | None,
                 ir.add_row(f"balance[{b.id},{d.id}]", coeffs, EQ, net)
 
     return ir, vm
+
+
+def _build_dc_flows(case: CaseSystem, ir: ModelIR, vm: VarMap,
+                    big_m_log: dict[str, float],
+                    ratings: dict[tuple[str, str], LineRating] | None):
+    """Per line and period: DC flow under the line's static flow limit, or
+    under its thermal rating when ``ratings`` is given.
+
+    A line-period with no rating is kept unbuilt by the same ``unrated``
+    row as in ``dtlr_robust``: an existing line makes the model infeasible,
+    and a candidate's flow column is fixed at zero with no switch rows.
+    """
+    for d in case.periods:
+        for c in case.lines:
+            limit = (c.flow_limit if ratings is None
+                     else ratings[c.id, d.id].amps)
+            if limit is None:
+                ir.add_row(f"unrated[{c.id},{d.id}]",
+                           {vm.line_built[c.id]: 1.0}, LE, 0.0)
+            cap = limit or 0.0
+            pf = ir.add_variable(f"flow[{c.id},{d.id}]", CONTINUOUS,
+                                 -cap, cap)
+            vm.flow[c.id, d.id] = pf
+            a_s = vm.angle[c.from_bus, d.id]
+            a_r = vm.angle[c.to_bus, d.id]
+            if c.candidate:
+                if limit is None:
+                    continue
+                tag = f"switch[{c.id},{d.id}]"
+                big_m_log[f"{tag}.ohm_relax"] = gadget_switched_dc_flow(
+                    ir, vm.line_built[c.id], pf, c.susceptance, a_s, a_r,
+                    limit, tag)
+                ir.metadata["relax_rows"].append(
+                    (f"{tag}.ohm_hi", vm.line_built[c.id]))
+                ir.metadata["relax_rows"].append(
+                    (f"{tag}.ohm_lo", vm.line_built[c.id]))
+            else:
+                ir.add_row(f"ohm[{c.id},{d.id}]",
+                           {pf: 1.0, a_s: -c.susceptance,
+                            a_r: c.susceptance}, EQ, 0.0)
 
 
 def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,

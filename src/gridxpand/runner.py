@@ -6,16 +6,20 @@ the result being studied.  Rows run in a process pool; each worker rescales
 the case, builds, solves and extracts on its own copy, so a crash or solver
 failure is recorded in that row and never aborts the sweep.
 
-Thermal plans on the external backend start from an incumbent: the
-cheaper ``dc_robust`` plan sets every binary of the thermal model (its
-build choices, and each cosine side to the sign of its angle difference),
-and HiGHS completes that MIP start by the LP that is left.  Without it
-HiGHS proves a tight root bound early but finds good incumbents late.
+Thermal plans on the external backend start from an incumbent: a cheap
+*rated DC* plan — ``dc_robust`` with each line-period's flow limit set to
+the thermal model's build-time rating — sets every binary of the thermal
+model (its build choices, and each cosine side to the sign of its angle
+difference), and HiGHS completes that MIP start by the LP that is left.
+Without it HiGHS proves a tight root bound early but finds good
+incumbents late.
 
-Static-rating solves (``dc_det``, ``dc_robust``, also as the seed) run
+Static-rating solves (``dc_det``, ``dc_robust``, the rated DC seed) run
 without HiGHS's sub-MIP heuristics: root rounding already finds their
 optimum, and RINS, RENS and root reduced cost then took most of the
-search.  The full thermal solve keeps them, because there they pay off.
+search.  So does a seeded thermal solve, whose start is usually optimal
+already, so what is left is the proof.  A cold thermal solve keeps the
+sub-MIPs, because there they find the incumbents.
 
 Result documents are plain data with sorted keys and no timestamps,
 runtimes or solver statistics, so identical inputs and backend give
@@ -46,18 +50,21 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     """Build, solve and extract one case in one mode.
 
     A ``dtlr_robust`` solve on the external backend is seeded: it solves
-    ``dc_robust`` on the same case, parameters and gap, and passes that
-    plan's binaries to the full thermal solve at ``config.mip_gap`` as a
-    MIP start (see :func:`_thermal_start`).  The seed solve spends at most
+    the rated DC model (``dc_robust`` under the thermal model's build-time
+    ratings) on the same case, parameters and gap, and passes that plan's
+    binaries to the full thermal solve at ``config.mip_gap`` as a MIP
+    start (see :func:`_thermal_start`).  The seed solve spends at most
     ``SEED_TIME_SHARE`` of ``config.time_limit`` and the full solve gets
     what is left, so ``plan.audit["runtime_s"]`` (both solves) stays within
     the limit.  HiGHS completes the start by an LP over the other columns
-    and drops a start it cannot complete; then, as when ``dc_robust`` finds
-    no plan, the full solve runs cold.  The status, the proven gap and
+    and drops a start it cannot complete.  The status, the proven gap and
     every audit are those of the full solve.
 
-    ``dc_det`` and ``dc_robust`` are solved with ``sub_mips=False`` (see
-    :func:`~gridxpand.solve.external_solve`).
+    ``dc_det``, ``dc_robust`` and a thermal solve that gets a start are
+    solved with ``sub_mips=False`` (see
+    :func:`~gridxpand.solve.external_solve`), even when HiGHS drops the
+    start.  A thermal solve without a start, because an existing line has
+    no rating or the rated DC model has no plan, runs cold with them.
 
     ``plan.audit["solver"]`` holds the final gap, dual bound, node count,
     whether a start was passed to HiGHS and whether the final solve allowed
@@ -74,7 +81,7 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
         start = _thermal_start(case, params, vm, config,
                                SEED_TIME_SHARE * config.time_limit)
     left = config.time_limit - (time.perf_counter() - t0)
-    sub_mips = mode == "dtlr_robust"
+    sub_mips = mode == "dtlr_robust" and start is None
     solution = solve(ir, replace(config, time_limit=left), start=start,
                      sub_mips=sub_mips)
     plan = extract_plan(solution, vm, case)
@@ -104,15 +111,25 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
                    config: SolveConfig,
                    budget: float) -> dict[int, float] | None:
     """A partial MIP start ``{column: 0/1}`` for the thermal model ``vm``,
-    or ``None`` when ``dc_robust`` has no plan.
+    or ``None`` when the rated DC model has no plan.
 
-    Solves ``dc_robust`` at ``config.mip_gap`` within ``budget`` seconds,
-    without sub-MIP heuristics, as in :func:`run_plan`.  The start sets the
-    thermal model's ``build[*]``/``unit[*]`` binaries to that plan and each
-    ``trig[l,d].cos_side`` to the sign of the plan's angle difference
-    ``angle[from,d] - angle[to,d]``.
+    The rated DC model is ``dc_robust`` with each line-period's flow limited
+    by its build-time thermal rating ``vm.ratings[l, d].amps``: the bound of
+    an existing line's flow column, the switch coefficient of a candidate's.
+    A candidate with no rating stays unbuilt.  An existing line with no
+    rating makes the thermal model infeasible, so no seed is built for it.
+
+    Solves the rated DC model at ``config.mip_gap`` within ``budget``
+    seconds, without sub-MIP heuristics, as in :func:`run_plan`.  The start
+    sets the thermal model's ``build[*]``/``unit[*]`` binaries to that plan
+    and each ``trig[l,d].cos_side`` to the sign of the plan's angle
+    difference ``angle[from,d] - angle[to,d]``.
     """
-    dc_ir, dc_vm = build_igtep(case, params, "dc_robust")
+    if any(vm.ratings[c.id, d.id].amps is None
+           for c in case.lines if not c.candidate for d in case.periods):
+        return None
+    dc_ir, dc_vm = build_igtep(case, params, "dc_robust",
+                               _ratings=vm.ratings)
     dc = external_solve(dc_ir, replace(config, time_limit=budget),
                         sub_mips=False)
     if dc.values is None:

@@ -82,6 +82,31 @@ def toy_case(*, with_weather: bool = True, peak: float = 100.0) -> CaseSystem:
         peak_demand=peak, s_base=100.0, v_base=132.0)
 
 
+def with_line(case, line_id, weather=None, **changes):
+    """``case`` with one line's fields and its p1 weather replaced."""
+    lines = tuple(dataclasses.replace(c, **changes) if c.id == line_id else c
+                  for c in case.lines)
+    period = case.periods[0]
+    if weather is not None:
+        period = dataclasses.replace(
+            period, weather={**period.weather, line_id: weather})
+    return dataclasses.replace(case, lines=lines, periods=(period,))
+
+
+# Line-periods whose heat balance admits no temperature up to t_max;
+# heat_balance_lp finds no feasible point for any of them.  The radiation
+# case keeps a nonnegative budget, so it is an edge of its own.
+UNRATED = {
+    "t_max below ambient": dict(t_max=290.0),
+    "negative budget": dict(weather=dataclasses.replace(DEFAULT_WEATHER,
+                                                        solar_gain=1000.0)),
+    "radiation link below zero": dict(
+        t_max=276.0, weather=dataclasses.replace(DEFAULT_WEATHER,
+                                                 ambient_temp=273.0,
+                                                 solar_gain=0.0)),
+}
+
+
 def toy_dc_det_objective() -> float:
     """Hand-derived optimum of the toy in dc_det mode.
 

@@ -17,12 +17,11 @@ from gridxpand.builder import MODES, SQUARE_CUTS, reference_bus
 from gridxpand.errors import ExtractionError, ModelBuildError
 from gridxpand.ir import CONTINUOUS, EQ, GE, LE
 from gridxpand.solve import simplex_lp
-from support import (DEFAULT_WEATHER, PROBE_TOL, STANDARD_ROBUST,
-                     angle_window_span, assert_row_equivalent,
-                     build_window_form, heat_balance_lp, minmax_output,
-                     name_tag_counts, random_instance,
-                     scan_governing_convection, toy_case,
-                     toy_dc_det_objective, toy_robust_objective)
+from support import (PROBE_TOL, STANDARD_ROBUST, UNRATED, angle_window_span,
+                     assert_row_equivalent, build_window_form,
+                     heat_balance_lp, minmax_output, name_tag_counts,
+                     random_instance, scan_governing_convection, toy_case,
+                     toy_dc_det_objective, toy_robust_objective, with_line)
 
 ZERO_PROTECTION = RobustParams(phi=0.0, mu=0.0, reliability=0.05)
 
@@ -405,31 +404,6 @@ class TestThermalPlans:
         assert orc.objective == pytest.approx(ext.objective, rel=1e-6)
 
 
-def _with_line(case, line_id, weather=None, **changes):
-    """``case`` with one line's fields and its p1 weather replaced."""
-    lines = tuple(dataclasses.replace(c, **changes) if c.id == line_id else c
-                  for c in case.lines)
-    period = case.periods[0]
-    if weather is not None:
-        period = dataclasses.replace(
-            period, weather={**period.weather, line_id: weather})
-    return dataclasses.replace(case, lines=lines, periods=(period,))
-
-
-# Line-periods whose heat balance admits no temperature up to t_max;
-# heat_balance_lp finds no feasible point for any of them.  The radiation
-# case keeps a nonnegative budget, so it is an edge of its own.
-UNRATED = {
-    "t_max below ambient": dict(t_max=290.0),
-    "negative budget": dict(weather=dataclasses.replace(DEFAULT_WEATHER,
-                                                        solar_gain=1000.0)),
-    "radiation link below zero": dict(
-        t_max=276.0, weather=dataclasses.replace(DEFAULT_WEATHER,
-                                                 ambient_temp=273.0,
-                                                 solar_gain=0.0)),
-}
-
-
 class TestThermalRating:
     """The build-time rating against the heat-balance rows it replaced."""
 
@@ -447,7 +421,7 @@ class TestThermalRating:
                 base.line("E").conductor,
                 diameter=float(rng.uniform(0.015, 0.04)),
                 emissivity=float(rng.uniform(0.3, 0.95)))
-            case = _with_line(
+            case = with_line(
                 base, "E", weather, conductor=conductor,
                 t_max=max(274.0, t_env + float(rng.uniform(5.0, 110.0))),
                 resistance_at_tmax=float(rng.uniform(0.3, 4.0)),
@@ -486,7 +460,7 @@ class TestThermalRating:
             # with |x| on the negative side too.
             conductance = float(rng.uniform(0.2, 6.0))
             ratio = rng.uniform(0.05, 0.25) if k % 2 else rng.uniform(0.26, 3.0)
-            case = _with_line(
+            case = with_line(
                 base, "E", resistance_at_tmax=float(rng.uniform(0.3, 80.0)),
                 susceptance=conductance * float(ratio),
                 conductance=conductance)
@@ -512,7 +486,7 @@ class TestThermalRating:
 
     @pytest.mark.parametrize("edge", sorted(UNRATED))
     def test_unrated_existing_line_makes_plan_infeasible(self, edge):
-        case = _with_line(toy_case(), "E", **UNRATED[edge])
+        case = with_line(toy_case(), "E", **UNRATED[edge])
         assert heat_balance_lp(case.line("E"), case.periods[0].weather["E"],
                                STANDARD_ROBUST, case.current_base) is None
         plan, _, vm, _ = solved_plan(case, STANDARD_ROBUST, "dtlr_robust")
@@ -521,13 +495,48 @@ class TestThermalRating:
 
     @pytest.mark.parametrize("edge", sorted(UNRATED))
     def test_unrated_candidate_is_never_built(self, edge):
-        case = _with_line(stressed_case(), "L", **UNRATED[edge])
+        case = with_line(stressed_case(), "L", **UNRATED[edge])
         plan, ir, vm, _ = solved_plan(case, STANDARD_ROBUST, "dtlr_robust")
         assert vm.ratings["L", "p1"].amps is None
         assert "L" not in plan.added_lines
         status, _, _ = simplex_lp(ir, bounds_override={vm.line_built["L"]:
                                                        (1.0, 1.0)})
         assert status == "infeasible"
+
+    @pytest.mark.parametrize("edge", sorted(UNRATED))
+    def test_unrated_candidate_is_unbuilt_in_the_rated_dc_model(self, edge):
+        """The DC model under the thermal ratings fixes an unrated candidate
+        unbuilt by the thermal model's ``unrated`` row; the line never
+        reaches the switched-flow gadget, which refuses a zero limit."""
+        case = with_line(stressed_case(), "L", **UNRATED[edge])
+        _, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        ir, dc_vm = build_igtep(case, STANDARD_ROBUST, "dc_robust",
+                                _ratings=vm.ratings)
+        names = {row.name for row in ir.rows}
+        assert "unrated[L,p1]" in names
+        assert not any(name.startswith("switch[L,") for name in names)
+        flow = ir.variable("flow[L,p1]")
+        assert flow.lower == flow.upper == 0.0
+        status, _, _ = simplex_lp(ir, bounds_override={dc_vm.line_built["L"]:
+                                                       (1.0, 1.0)})
+        assert status == "infeasible"
+
+    def test_rated_dc_model_limits_flows_by_the_ratings(self):
+        """Existing lines bound their flow column, candidates their switch
+        rows, by the thermal rating of each line-period."""
+        case = stressed_case()
+        _, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        ir, dc_vm = build_igtep(case, STANDARD_ROBUST, "dc_robust",
+                                _ratings=vm.ratings)
+        static, _ = build_igtep(case, STANDARD_ROBUST, "dc_robust")
+        amps = {c.id: vm.ratings[c.id, "p1"].amps for c in case.lines}
+        for c in case.lines:
+            assert amps[c.id] not in (None, c.flow_limit), c.id
+        assert ir.variable("flow[E,p1]").upper == amps["E"]
+        assert ir.variable("flow[E,p1]").lower == -amps["E"]
+        row = next(r for r in ir.rows if r.name == "switch[L,p1].cap_hi")
+        assert row.coeffs[dc_vm.line_built["L"]] == -amps["L"]
+        assert [r.name for r in ir.rows] == [r.name for r in static.rows]
 
 
 class TestCosSideHull:

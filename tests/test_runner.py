@@ -16,9 +16,9 @@ from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
 from gridxpand.ir import GE
-from support import (STANDARD_ROBUST, build_window_form, random_instance,
-                     reverse_rated_instance, toy_case, toy_dc_det_objective,
-                     toy_robust_objective)
+from support import (STANDARD_ROBUST, UNRATED, build_window_form,
+                     random_instance, reverse_rated_instance, toy_case,
+                     toy_dc_det_objective, toy_robust_objective, with_line)
 
 FAST = SolveConfig(time_limit=60.0)
 
@@ -58,7 +58,7 @@ class TestRunPlan:
                                                          rel=1e-6)
         assert solver["mip_node_count"] >= 0
         assert solver["seeded"] is True
-        assert solver["sub_mips"] is True
+        assert solver["sub_mips"] is False
 
     def test_only_external_thermal_runs_are_seeded(self):
         dc = run_plan(toy_case(), STANDARD_ROBUST, "dc_robust", FAST)
@@ -87,14 +87,15 @@ class TestRunPlan:
         assert dc.audit["solver"]["sub_mips"] is False
         calls.clear()
         thermal = run_plan(toy_case(), STANDARD_ROBUST, "dtlr_robust", FAST)
-        # the dc_robust seed, then the full solve
-        assert calls == [("external_solve", False), ("solve", True)]
-        assert thermal.audit["solver"]["sub_mips"] is True
+        # the rated DC seed, then the seeded full solve
+        assert calls == [("external_solve", False), ("solve", False)]
+        assert thermal.audit["solver"]["sub_mips"] is False
 
-    def test_cold_solve_when_dc_robust_finds_no_plan(self):
+    def test_cold_solve_when_the_rated_seed_finds_no_plan(self):
         plan = run_plan(toy_case(peak=1000.0), STANDARD_ROBUST,
                         "dtlr_robust", FAST)
         assert plan.audit["solver"]["seeded"] is False
+        assert plan.audit["solver"]["sub_mips"] is True
 
 
 class TestSeededThermalRuns:
@@ -177,7 +178,7 @@ class TestSeededThermalRuns:
     def test_seed_pins_every_free_binary(self, monkeypatch):
         """The start passed to the full solve gives a 0/1 value to every
         binary the thermal model leaves free, each cosine side the sign of
-        the ``dc_robust`` angle difference."""
+        the rated DC model's angle difference."""
         calls = []
 
         def recording(name):
@@ -211,6 +212,56 @@ class TestSeededThermalRuns:
                         - dc.value(dc_ir, f"angle[{c.to_bus},{d.id}]"))
                 idx = ir.variable(f"trig[{c.id},{d.id}].cos_side").index
                 assert start[idx] == (1.0 if diff >= 0.0 else 0.0)
+
+    @pytest.mark.parametrize("edge", sorted(UNRATED))
+    def test_unrated_existing_line_skips_the_seed(self, monkeypatch, edge):
+        """An existing line with no rating makes the thermal model
+        infeasible: no rated DC model is built and the solve runs cold."""
+        modes = []
+        inner = runner_module.build_igtep
+
+        def recording(case, params, mode, **kwargs):
+            modes.append(mode)
+            return inner(case, params, mode, **kwargs)
+        monkeypatch.setattr(runner_module, "build_igtep", recording)
+        plan = run_plan(with_line(toy_case(), "E", **UNRATED[edge]),
+                        STANDARD_ROBUST, "dtlr_robust", FAST)
+        assert modes == ["dtlr_robust"]
+        assert plan.status == "infeasible"
+        assert plan.audit["solver"]["seeded"] is False
+        assert plan.audit["solver"]["sub_mips"] is True
+
+    @pytest.mark.parametrize("edge", sorted(UNRATED))
+    def test_unrated_candidate_line_keeps_the_seed(self, edge):
+        """A candidate with no rating stays unbuilt in the rated DC model
+        instead of reaching the switched-flow gadget, and the others still
+        seed the thermal solve."""
+        case = with_line(toy_case(), "L", **UNRATED[edge])
+        plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
+        ir, _ = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        cold = external_solve(ir, FAST)
+        assert plan.audit["solver"]["seeded"] is True
+        assert plan.status == cold.status == "optimal"
+        assert plan.added_lines == ()
+        assert plan.objective == pytest.approx(cold.objective, rel=1e-6)
+
+    def test_row_past_the_dc_robust_onset_is_seeded(self, six_bus,
+                                                    six_bus_robust):
+        """Six-bus 800 MW has no ``dc_robust`` plan, but its rated DC model
+        has one, so the thermal solve is seeded and proves without
+        sub-MIPs; the optimum is HiGHS's at its defaults, within the gap."""
+        case = scale_to_peak(six_bus, 800.0)
+        config = SolveConfig(time_limit=120.0, mip_gap=1e-4)
+        assert run_plan(case, six_bus_robust, "dc_robust",
+                        config).status == "infeasible"
+        plan = run_plan(case, six_bus_robust, "dtlr_robust", config)
+        ir, _ = build_igtep(case, six_bus_robust, "dtlr_robust")
+        ref = external_solve(ir, config)
+        assert plan.audit["solver"]["seeded"] is True
+        assert plan.audit["solver"]["sub_mips"] is False
+        assert plan.status == ref.status == "optimal"
+        assert abs(plan.objective - ref.objective) <= \
+            config.mip_gap * abs(ref.objective)
 
     def test_worse_start_is_overruled(self, monkeypatch):
         # On small draws the seed is usually optimal already; this start
@@ -285,11 +336,11 @@ def assert_matches_default_heuristics(case, params, mode):
 class TestQuietSolves:
     def test_no_solver_output_on_stdout(self, capfd):
         """HiGHS prints a raw MIP message to file descriptor 1 while
-        ``run_plan`` solves this draw's thermal model."""
+        ``run_plan`` solves this draw's model."""
         rng = np.random.default_rng(1)
-        draws = [random_instance(rng) for _ in range(11)]
-        case, params, mode = draws[10]
-        assert mode == "dtlr_robust"
+        draws = [random_instance(rng) for _ in range(27)]
+        case, params, mode = draws[26]
+        assert mode == "dc_robust"
         plan = run_plan(case, params, mode, FAST)
         assert plan.status == "optimal"
         assert capfd.readouterr().out == ""
