@@ -14,12 +14,14 @@ difference), and HiGHS completes that MIP start by the LP that is left.
 Without it HiGHS proves a tight root bound early but finds good
 incumbents late.
 
-Static-rating solves (``dc_det``, ``dc_robust``, the rated DC seed) run
-without HiGHS's sub-MIP heuristics: root rounding already finds their
-optimum, and RINS, RENS and root reduced cost then took most of the
-search.  So does a seeded thermal solve, whose start is usually optimal
-already, so what is left is the proof.  A cold thermal solve keeps the
-sub-MIPs, because there they find the incumbents.
+Static-rating solves (``dc_det``, ``dc_robust``, the rated DC seed) are
+proof solves, without HiGHS's sub-MIP heuristics and root restarts: root
+rounding already finds their optimum, RINS, RENS and root reduced cost
+then took most of the search, and a restart redid the root for the few
+binaries that reduced-cost fixing had fixed.  So is a seeded thermal
+solve, whose start is usually optimal already, so what is left is the
+proof.  A cold thermal solve keeps both, because there the sub-MIPs find
+the incumbents.
 
 Result documents are plain data with sorted keys and no timestamps,
 runtimes or solver statistics, so identical inputs and backend give
@@ -43,6 +45,9 @@ from .uncertainty import RobustParams
 
 DISPLAY_COST_UNIT = 1e7            # tables print $ x 10^7
 SEED_TIME_SHARE = 0.25             # of the time limit, for the seed solve
+# Least time (s) the final solve gets when the seed has used up the limit,
+# so that HiGHS itself reports the limit.
+FINAL_TIME_FLOOR_S = 1e-3
 
 
 def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
@@ -55,20 +60,24 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     binaries to the full thermal solve at ``config.mip_gap`` as a MIP
     start (see :func:`_thermal_start`).  The seed solve spends at most
     ``SEED_TIME_SHARE`` of ``config.time_limit`` and the full solve gets
-    what is left, so ``plan.audit["runtime_s"]`` (both solves) stays within
-    the limit.  HiGHS completes the start by an LP over the other columns
-    and drops a start it cannot complete.  The status, the proven gap and
-    every audit are those of the full solve.
+    what is left, but at least ``FINAL_TIME_FLOOR_S``, so
+    ``plan.audit["runtime_s"]`` (both solves) stays within the limit plus
+    that floor.  A seed that overruns the limit thus ends in a ``limit``
+    plan reported by HiGHS, not in an error.  HiGHS completes the start by
+    an LP over the other columns and drops a start it cannot complete.
+    The status, the proven gap and every audit are those of the full solve.
 
     ``dc_det``, ``dc_robust`` and a thermal solve that gets a start are
-    solved with ``sub_mips=False`` (see
-    :func:`~gridxpand.solve.external_solve`), even when HiGHS drops the
-    start.  A thermal solve without a start, because an existing line has
-    no rating or the rated DC model has no plan, runs cold with them.
+    proof solves, with ``sub_mips=False`` (see
+    :func:`~gridxpand.solve.external_solve`): no sub-MIP heuristics and no
+    root restarts, even when HiGHS drops the start.  A thermal solve
+    without a start, because an existing line has no rating or the rated
+    DC model has no plan, runs cold with both.
 
     ``plan.audit["solver"]`` holds the final gap, dual bound, node count,
     whether a start was passed to HiGHS and whether the final solve allowed
-    the sub-MIP heuristics; like ``runtime_s`` it stays out of
+    the sub-MIP heuristics and root restarts (``sub_mips``); like
+    ``runtime_s`` it stays out of
     :func:`plan_document`.  For thermal-rating plans the nonlinear
     heat-balance audit runs automatically and lands in
     ``plan.audit["hbe"]`` next to the certified residual bound.
@@ -80,7 +89,8 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     if mode == "dtlr_robust" and config.backend == "external":
         start = _thermal_start(case, params, vm, config,
                                SEED_TIME_SHARE * config.time_limit)
-    left = config.time_limit - (time.perf_counter() - t0)
+    left = max(config.time_limit - (time.perf_counter() - t0),
+               FINAL_TIME_FLOOR_S)
     sub_mips = mode == "dtlr_robust" and start is None
     solution = solve(ir, replace(config, time_limit=left), start=start,
                      sub_mips=sub_mips)
@@ -120,7 +130,7 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
     rating makes the thermal model infeasible, so no seed is built for it.
 
     Solves the rated DC model at ``config.mip_gap`` within ``budget``
-    seconds, without sub-MIP heuristics, as in :func:`run_plan`.  The start
+    seconds as a proof solve, as in :func:`run_plan`.  The start
     sets the thermal model's ``build[*]``/``unit[*]`` binaries to that plan
     and each ``trig[l,d].cos_side`` to the sign of the plan's angle
     difference ``angle[from,d] - angle[to,d]``.

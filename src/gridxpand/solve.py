@@ -7,10 +7,13 @@ start (``setSolution``); the runner seeds thermal solves through it.  The
 module is private to scipy, and its shape is pinned by the tests.  Each
 solve reports the proven gap, the dual bound and the node count.  A start
 is only an incumbent and never changes the optimum.
-Callers may switch off HiGHS's sub-MIP primal heuristics (RINS, RENS and
-root reduced cost), which on the static-rating models spend most of the
-search re-finding what root rounding already found; they steer the search
-only, never the optimum.
+Callers that already expect a good incumbent, from root rounding or a
+start, may ask for a proof solve (``sub_mips=False``).  It switches off
+HiGHS's sub-MIP primal heuristics (RINS, RENS and root reduced cost), which
+there spend most of the search re-finding that incumbent, and its root
+restarts, which presolve again and redo the root LP and cuts after
+reduced-cost fixing has fixed a few binaries.  Both steer the search only,
+never the optimum.
 
 Both backends read the model through one export to arrays
 (:func:`_model_arrays`): cost, a sparse row matrix, right-hand sides, row
@@ -65,9 +68,10 @@ ERROR = "error"
 
 ENUMERATION_CAP = 20             # free binaries the oracle enumerates
 
-# HiGHS options of the sub-MIP heuristics that ``sub_mips=False`` turns off.
-SUB_MIP_OPTIONS = ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
-                   "mip_heuristic_run_root_reduced_cost")
+# HiGHS options that ``sub_mips=False`` turns off: the sub-MIP heuristics
+# and root restarts.
+PROOF_OPTIONS = ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
+                 "mip_heuristic_run_root_reduced_cost", "mip_allow_restart")
 
 # HiGHS model statuses by name, mapped as scipy maps them; any other status
 # is an error.
@@ -151,9 +155,11 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     ``start`` holds values for some or all columns, by index, and is offered
     to HiGHS as a MIP start; HiGHS completes a partial start by an LP over
     the other columns and drops a start it cannot complete.
-    ``sub_mips=False`` switches off the heuristics in
-    :data:`SUB_MIP_OPTIONS`; that changes how fast the optimum is found, not
-    the optimum.
+    ``sub_mips=False`` makes it a proof solve: it switches off the options
+    in :data:`PROOF_OPTIONS`, HiGHS's sub-MIP heuristics and its root
+    restarts.  That changes how fast the optimum is found and proved, not
+    the optimum.  The default leaves every search option at HiGHS's own
+    value.
     """
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
@@ -192,7 +198,7 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
             highs.setOptionValue("time_limit", float(config.time_limit))
             highs.setOptionValue("mip_rel_gap", float(config.mip_gap))
             if not sub_mips:
-                for name in SUB_MIP_OPTIONS:
+                for name in PROOF_OPTIONS:
                     if (highs.setOptionValue(name, False)
                             != _highs.HighsStatus.kOk):
                         raise SolverError(f"HiGHS refused option {name}")

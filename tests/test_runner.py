@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ class TestRunPlan:
                         "dtlr_robust", FAST)
         assert plan.audit["solver"]["seeded"] is False
         assert plan.audit["solver"]["sub_mips"] is True
+
+    def test_seed_past_the_time_limit_gives_a_limit_plan(self, monkeypatch,
+                                                         rts24,
+                                                         rts24_scenario):
+        """A seed that uses up the limit leaves the final solve a floor of
+        time, and HiGHS reports the limit; no negative limit is raised."""
+        def slow_seed(*args):
+            time.sleep(0.05)
+            return None
+        monkeypatch.setattr(runner_module, "_thermal_start", slow_seed)
+        plan = run_plan(scale_to_peak(rts24, 4000.0), rts24_scenario.robust,
+                        "dtlr_robust", SolveConfig(time_limit=0.01))
+        assert plan.status == "limit"
+        assert plan.audit["solver"]["seeded"] is False
 
 
 class TestSeededThermalRuns:
@@ -285,8 +300,8 @@ class TestSeededThermalRuns:
 
 
 class TestStaticSolves:
-    """Static modes run without HiGHS's sub-MIP heuristics; the optimum
-    must be the one HiGHS finds with them."""
+    """Static modes run without HiGHS's sub-MIP heuristics and root
+    restarts; the optimum must be the one HiGHS finds with them."""
 
     @pytest.mark.parametrize("peak", [500.0, 600.0, 700.0])
     @pytest.mark.parametrize("mode", ["dc_det", "dc_robust"])
@@ -295,9 +310,15 @@ class TestStaticSolves:
         assert_matches_default_heuristics(scale_to_peak(six_bus, peak),
                                           six_bus_robust, mode)
 
-    def test_rts24_slowest_static_row(self, rts24, rts24_scenario):
-        assert_matches_default_heuristics(scale_to_peak(rts24, 4000.0),
-                                          rts24_scenario.robust, "dc_det")
+    @pytest.mark.parametrize("mode,peak", [("dc_det", 4000.0),
+                                           ("dc_robust", 4200.0),
+                                           ("dc_robust", 4600.0)])
+    def test_rts24_slowest_static_row(self, rts24, rts24_scenario, mode,
+                                      peak):
+        """The slowest RTS24 static row, and the rows where HiGHS's root
+        restarts cost most."""
+        assert_matches_default_heuristics(scale_to_peak(rts24, peak),
+                                          rts24_scenario.robust, mode)
 
     def test_heuristics_never_change_the_optimum(self):
         """Static ``run_plan`` against the enumeration oracle."""

@@ -21,7 +21,7 @@ from gridxpand import (ModelIR, SolveConfig, build_igtep, external_solve,
 from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
 from gridxpand.solve import (ENUMERATION_CAP, INFEASIBLE, LIMIT, OPTIMAL,
-                             SUB_MIP_OPTIONS, UNBOUNDED, simplex_lp, solve)
+                             PROOF_OPTIONS, UNBOUNDED, simplex_lp, solve)
 from support import random_instance
 
 SENSES = (LE, GE, EQ)
@@ -393,10 +393,12 @@ class TestHighsBinding:
 
     @pytest.mark.parametrize("name", ["mip_heuristic_run_rins",
                                       "mip_heuristic_run_rens",
-                                      "mip_heuristic_run_root_reduced_cost"])
+                                      "mip_heuristic_run_root_reduced_cost",
+                                      "mip_allow_restart"])
     def test_sub_mip_options_accept_false(self, name):
-        """A renamed option would quietly bring the sub-MIP search back."""
-        assert name in SUB_MIP_OPTIONS
+        """A renamed option would quietly bring the sub-MIP search or the
+        root restarts back."""
+        assert name in PROOF_OPTIONS
         h = solve_module._highs
         highs = h._Highs()
         assert highs.setOptionValue(name, False) == h.HighsStatus.kOk
@@ -404,24 +406,25 @@ class TestHighsBinding:
 
     def test_refused_sub_mip_option_raises(self, monkeypatch):
         recorder = self._record_options(monkeypatch, refuse=True)
-        with pytest.raises(SolverError, match=SUB_MIP_OPTIONS[0]):
+        with pytest.raises(SolverError, match=PROOF_OPTIONS[0]):
             external_solve(known_milp(), sub_mips=False)
-        # with the heuristics left on, those options are never touched
+        # a default solve touches none of these options: it keeps the
+        # sub-MIPs and the root restarts
         recorder.clear()
         assert external_solve(known_milp()).objective == pytest.approx(-6.0)
-        assert not set(recorder) & set(SUB_MIP_OPTIONS)
+        assert not set(recorder) & set(PROOF_OPTIONS)
 
-    def test_sub_mips_false_switches_the_three_off(self, monkeypatch):
+    def test_sub_mips_false_switches_the_four_off(self, monkeypatch):
         recorder = self._record_options(monkeypatch, refuse=False)
         sol = external_solve(known_milp(), sub_mips=False)
         assert sol.objective == pytest.approx(-6.0)
-        assert {name: recorder[name] for name in SUB_MIP_OPTIONS} == \
-            dict.fromkeys(SUB_MIP_OPTIONS, False)
+        assert {name: recorder[name] for name in PROOF_OPTIONS} == \
+            dict.fromkeys(PROOF_OPTIONS, False)
 
     @staticmethod
     def _record_options(monkeypatch, refuse: bool) -> dict:
         """Route ``_Highs.setOptionValue`` through a recorder; with
-        ``refuse`` it answers ``kError`` for the sub-MIP options."""
+        ``refuse`` it answers ``kError`` for the proof options."""
         h = solve_module._highs
         real = h._Highs
         recorder: dict = {}
@@ -432,7 +435,7 @@ class TestHighsBinding:
 
             def setOptionValue(self, name, value):
                 recorder[name] = value
-                if refuse and name in SUB_MIP_OPTIONS:
+                if refuse and name in PROOF_OPTIONS:
                     return h.HighsStatus.kError
                 return self._highs.setOptionValue(name, value)
 
