@@ -7,7 +7,7 @@ the corridor honest for another ~80 MW and shifts where the capital
 goes.  This script solves both plans at that peak and prints them side
 by side, including the audit trail a thermal plan carries.
 
-Run:  python3 demos/plan_corridor.py   (about half a minute)
+Run:  python3 demos/plan_corridor.py   (a few seconds)
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ unprotected; the robust static plan pays for its margins and gives up
 first; pricing the weather into the line ratings recovers both cost and
 reach.  This script runs that sweep and prints the onset table.
 
-Run:  python3 demos/sweep_onsets.py   (about two minutes)
+Run:  python3 demos/sweep_onsets.py   (about ten seconds)
 """
 
 from __future__ import annotations

@@ -21,16 +21,18 @@ directions and variable bounds.
 
 The ``oracle`` backend is deliberately independent of HiGHS: it uses numpy
 and nothing else.  It enumerates every assignment of the free binaries and
-solves each remaining linear program with a small dense simplex written
-here.  The model is put in standard form once per call, with the binaries
-as constants, so only the right-hand side changes between assignments.
-Until one of them has a feasible LP, each is solved from scratch by a
-two-phase primal simplex; after that, each starts from the last optimal
-basis, which stays dual feasible, and runs dual simplex pivots.  No warm
-answer is taken on trust: an optimum must be feasible in the model's rows
-and bounds and priced optimal by its basis's duals, and an infeasibility
-must come with a Farkas certificate, both checked against the original
-arrays.  An answer that fails its check is solved again from scratch.
+solves each remaining linear program with a small dense dual simplex
+written here.  The model is put in standard form once per call, with the
+binaries as constants, so only the right-hand side changes between
+assignments.  Every column is boxed, and each is shifted or mirrored so
+that its cost is nonnegative; the all-slack basis is then dual feasible,
+and the first assignment starts from it.  Each later one starts from the
+basis the last solve left, which a dual simplex exit keeps dual feasible
+whether that LP was feasible or not.  No warm answer is taken on trust: an
+optimum must be feasible in the model's rows and bounds and priced optimal
+by its basis's duals, and an infeasibility must come with a Farkas
+certificate, both checked against the original arrays.  An answer that
+fails its check is solved again from the slack basis.
 Once an incumbent exists, each assignment is first priced by the last
 basis's duals, sign-corrected, into a lower bound on its LP that holds for
 any duals and any right-hand side; an assignment whose bound exceeds the
@@ -82,7 +84,7 @@ _HIGHS_STATUS = {"kOptimal": OPTIMAL, "kTimeLimit": LIMIT,
 
 _EPS = 1e-9                  # pivot and pricing tolerance
 _BLAND_TRIGGER = 30          # consecutive degenerate pivots before Bland's rule
-_PHASE1_TOL = 1e-7           # phase-1 residual (relative to |b|) = infeasible
+_FARKAS_TOL = 1e-7           # Farkas margin -u b (relative to |b|) = infeasible
 # Tolerances of the certificates of warm answers, relative to the size of
 # the terms summed.  Reduced costs get the looser one: recomputed from B^-1
 # they carry its rounding, up to 2.4e-8 of their scale on small planning
@@ -276,19 +278,19 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
 
     The model becomes one :class:`_StandardForm` per call, with the free
     binaries as constants, so an assignment changes only the right-hand
-    side.  Until some assignment has a feasible LP, each is solved cold by
-    the two-phase simplex; after that, each starts from the last optimal
-    basis and runs dual simplex pivots (:func:`_dual_simplex`).  A warm
-    answer counts only with a certificate checked against the form's
-    arrays; otherwise that assignment is solved cold.  With an incumbent
-    and a basis at hand, an assignment is first priced by
+    side.  Every assignment's LP is solved by dual simplex
+    (:func:`_dual_simplex`) from the basis the last solved assignment left,
+    feasible or not; only the first starts from the all-slack basis.  A
+    warm answer counts only with a certificate checked against the form's
+    arrays; otherwise that assignment is solved again from the slack basis.
+    With an incumbent and a basis at hand, an assignment is first priced by
     :class:`_DualBound` and skipped when its bound proves that it cannot
     beat the incumbent; the bound is valid for any duals, so a skipped
-    assignment is never one that would have won.  Any unbounded
-    assignment makes the whole model unbounded (a finite bound proves an
-    assignment bounded); otherwise the best finite optimum wins and
-    infeasibility means no assignment admitted a feasible LP.
-    ``ir.objective`` is read at every call.
+    assignment is never one that would have won.  The best optimum wins,
+    and infeasibility means no assignment admitted a feasible LP.  Every
+    variable that is neither fixed nor a free binary must have two finite
+    bounds, or :class:`SolverError` names it.  ``ir.objective`` is read at
+    every call.
     """
     config = config if config is not None else SolveConfig(backend="oracle")
     start = time.perf_counter()
@@ -298,27 +300,23 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
             f"{len(free)} free binaries exceed the enumeration cap "
             f"{ENUMERATION_CAP}; use the external backend")
 
-    form = _StandardForm(_model_arrays(ir),
-                         pinned=[v.index for v in free])
-    warm = None
-    bound = None                 # priced from ``warm``, again after a solve
+    form = _StandardForm(_boxed_arrays(ir), pinned=[v.index for v in free])
+    basis = None
+    bound = None                 # priced from ``basis``, again after a solve
     best_obj = math.inf
     best_x = None
     timed_out = False
     for bits in itertools.product((0.0, 1.0), repeat=len(free)):
         bits = np.array(bits)
         b = form.rhs(bits)
-        if b is not None and best_x is not None and warm is not None:
+        if b is not None and best_x is not None:
             if bound is None:
-                bound = _DualBound(form, warm)
+                bound = _DualBound(form, basis)
             if bound.prunes(bits, b, best_obj):
                 b = None             # cannot beat the incumbent
         if b is not None:
-            status, y, warm = _assignment(form, bits, b, warm)
+            status, y, basis = _assignment(form, bits, b, basis)
             bound = None
-            if status == UNBOUNDED:
-                return Solution(UNBOUNDED, None, None,
-                                time.perf_counter() - start, "oracle")
             if status == OPTIMAL:
                 x = form.point(y, bits)
                 objective = float(form.model_cost @ x)
@@ -343,15 +341,16 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
                | None = None) -> tuple[str, float | None, np.ndarray | None]:
     """Solve the model's LP with optional bound overrides, from scratch.
 
-    Hand-rolled two-phase dense simplex on the model's
-    :class:`_StandardForm`, with no third-party optimization code on the
-    path: rows gain slack/surplus/artificial columns, Dantzig pricing runs
-    until a degeneracy streak switches to Bland's rule, and a pivot cap
-    guards against cycling.  Un-pinned binaries take their relaxed box.
+    Hand-rolled dense dual simplex on the model's :class:`_StandardForm`,
+    from its all-slack basis, with no third-party optimization code on the
+    path: Dantzig pricing runs until a degeneracy streak switches to
+    Bland's rule, and a pivot cap guards against cycling.  Un-pinned
+    binaries take their relaxed box, and every other variable that is not
+    fixed must have two finite bounds, or :class:`SolverError` names it.
     Returns ``(status, objective, x)`` with ``x`` covering all model
     variables.
     """
-    model = _model_arrays(ir, bounds_override)
+    model = _boxed_arrays(ir, bounds_override)
     if np.any(model.lower > model.upper):
         return INFEASIBLE, None, None
     form = _StandardForm(model, pinned=[])
@@ -403,75 +402,84 @@ def _model_arrays(ir: ModelIR, override: dict[int, tuple[float, float]]
     return _ModelArrays(cost, matrix, rhs, direction, lower, upper)
 
 
+def _boxed_arrays(ir: ModelIR, override: dict[int, tuple[float, float]]
+                  | None = None) -> _ModelArrays:
+    """:func:`_model_arrays`, refused with :class:`SolverError` when a
+    variable whose bounds do not meet has an infinite one: the oracle
+    solves boxed columns only."""
+    model = _model_arrays(ir, override)
+    open_ = ((model.lower != model.upper)
+             & ~(np.isfinite(model.lower) & np.isfinite(model.upper)))
+    if open_.any():
+        v = ir.variables[int(np.argmax(open_))]
+        raise SolverError(
+            f"variable {v.name} has bounds [{model.lower[v.index]}, "
+            f"{model.upper[v.index]}]; the oracle needs every column boxed")
+    return model
+
+
 def _violation(direction: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """How far ``rhs - activity`` (``slack``) breaks each row's sense."""
     return np.where(direction == 0.0, np.abs(slack), -direction * slack)
 
 
 class _StandardForm:
-    """A model's LP, from :func:`_model_arrays`, as dense arrays over
-    nonnegative columns ``y``.
+    """A model's LP, from :func:`_model_arrays`, as dense rows
+    ``a y <= b`` over columns ``y >= 0`` with nonnegative costs.
 
     Variables whose bounds meet, and the ``pinned`` ones, are constants and
-    leave the matrix.  The rest are shifted (``x = lo + y``), mirrored
-    (``x = hi - y``) or split (``x = y+ - y-``), and each shifted variable
-    with a finite width gets a row ``y <= hi - lo``; ``width`` holds that
-    width per column, infinite for the others.  Model rows left with
-    no column are only tested, in :meth:`rhs`.  Only the right-hand side
-    depends on the values of the pinned variables, so one form serves every
-    assignment of them.  The model's own rows, bounds and costs are kept
-    too, for checking answers in the model's terms.
+    leave the matrix.  The rest must be boxed.  Each is shifted
+    (``x = lo + y``) when its cost is nonnegative and mirrored
+    (``x = hi - y``) when it is negative, so no cost in ``y`` is negative,
+    and each gets a row ``y <= hi - lo``; ``width`` holds that width per
+    column.  ``>=`` rows are negated and each ``=`` row enters once with
+    each sign.  Model rows left with no column are only tested, in
+    :meth:`rhs`.  Only the right-hand side depends on the values of the
+    pinned variables, so one form serves every assignment of them.  The
+    model's own rows, bounds and costs are kept too, for checking answers
+    in the model's terms.
     """
 
     def __init__(self, model: _ModelArrays, pinned: list[int]):
         dense = model.matrix.toarray()
-        lower, upper = model.lower, model.upper
         self.model_rows = dense
         self.model_rhs = model.rhs
         self.model_direction = model.direction
         self.model_cost = model.cost
         self.pinned = np.asarray(pinned, dtype=int)
-        self.lower, self.upper = lower, upper
+        self.lower, self.upper = model.lower, model.upper
 
-        const = lower == upper
+        const = model.lower == model.upper
         const[self.pinned] = True
-        shift = ~const & np.isfinite(lower)
-        mirror = ~const & ~shift & np.isfinite(upper)
-        split = ~const & ~shift & ~mirror
-        self.base = np.where(shift | const, lower,
-                             np.where(mirror, upper, 0.0))
+        mirror = ~const & (model.cost < 0.0)
+        self.base = np.where(mirror, model.upper, model.lower)
         self.base[self.pinned] = 0.0
-        live = np.flatnonzero(~const)
-        self.source = np.repeat(live, np.where(split[live], 2, 1))
-        self.sign = np.repeat(np.where(mirror[live], -1.0, 1.0),
-                              np.where(split[live], 2, 1))
-        self.sign[1:][self.source[1:] == self.source[:-1]] = -1.0
+        self.source = np.flatnonzero(~const)
+        self.sign = np.where(mirror[self.source], -1.0, 1.0)
+        self.width = (model.upper - model.lower)[self.source]
 
         cols = dense[:, self.source] * self.sign
-        base_rhs = self.model_rhs - dense @ self.base
+        base_rhs = model.rhs - dense @ self.base
         empty = ~cols.any(axis=1)
         self._empty_rhs = base_rhs[empty]
         self._empty_pinned = dense[np.ix_(empty, self.pinned)]
-        self._empty_direction = self.model_direction[empty]
-        self._empty_tol = 1e-9 * (1.0 + np.abs(self.model_rhs[empty]))
+        self._empty_direction = model.direction[empty]
+        self._empty_tol = 1e-9 * (1.0 + np.abs(model.rhs[empty]))
 
-        boxed = np.flatnonzero(shift[self.source] & np.isfinite(
-            upper[self.source]))
-        width = np.zeros((boxed.size, self.source.size))
-        width[np.arange(boxed.size), boxed] = 1.0
-        self.a = np.vstack([cols[~empty], width])
-        self.direction = np.r_[self.model_direction[~empty],
-                               np.ones(boxed.size)]
-        self._rhs = np.r_[base_rhs[~empty],
-                          (upper - lower)[self.source[boxed]]]
-        self._pinned = np.vstack([dense[np.ix_(~empty, self.pinned)],
-                                  np.zeros((boxed.size, self.pinned.size))])
-        self.width = np.full(self.source.size, np.inf)
-        self.width[boxed] = (upper - lower)[self.source[boxed]]
-        self.cost = self.model_cost[self.source] * self.sign
+        upper_rows = np.flatnonzero(~empty & (model.direction >= 0.0))
+        lower_rows = np.flatnonzero(~empty & (model.direction <= 0.0))
+        rows = np.r_[upper_rows, lower_rows]
+        flip = np.r_[np.ones(upper_rows.size), -np.ones(lower_rows.size)]
+        live = self.source.size
+        self.a = np.vstack([flip[:, None] * cols[rows], np.eye(live)])
+        self._rhs = np.r_[flip * base_rhs[rows], self.width]
+        self._pinned = np.vstack([
+            flip[:, None] * dense[np.ix_(rows, self.pinned)],
+            np.zeros((live, self.pinned.size))])
+        self.cost = model.cost[self.source] * self.sign
         # The model's cost is constant + pinned_cost @ bits + cost @ y.
-        self.constant = float(self.model_cost @ self.base)
-        self.pinned_cost = self.model_cost[self.pinned]
+        self.constant = float(model.cost @ self.base)
+        self.pinned_cost = model.cost[self.pinned]
 
     def rhs(self, bits: np.ndarray) -> np.ndarray | None:
         """The LP right-hand side for pinned values ``bits``; ``None`` when
@@ -483,89 +491,92 @@ class _StandardForm:
 
     def point(self, y: np.ndarray, bits) -> np.ndarray:
         """Model values for columns ``y`` and pinned values ``bits``."""
-        x = self.base + np.bincount(self.source, weights=self.sign * y,
-                                    minlength=self.base.size)
+        x = self.base.copy()
+        x[self.source] += self.sign * y
         x[self.pinned] = bits
         return x
 
 
-@dataclass
-class _WarmBasis:
-    """An optimal tableau kept for re-solving under a new right-hand side.
+class _Basis:
+    """A dual feasible basis of a form's LP, pivoted in place by
+    :func:`_dual_simplex` and kept for the next right-hand side.
 
-    ``tableau`` holds ``B^-1 [A | slacks | artificials | b]`` for rows
-    multiplied by ``flip`` (the cold solve made its right-hand side
-    nonnegative), with the reduced costs as its last row.  Column
-    ``identity[r]`` formed row ``r``'s unit column at the start, so
-    ``tableau[:m, identity]`` is ``B^-1``.  ``allowed`` marks the columns
-    that may enter: every one but the artificials.
+    ``tableau`` holds ``B^-1 [a | I | b]`` with the reduced costs as its
+    last row, so its slack columns hold ``B^-1``.  A new basis is the
+    all-slack one, which is dual feasible because no cost in the form is
+    negative.
     """
 
-    tableau: np.ndarray
-    basis: np.ndarray
-    flip: np.ndarray
-    identity: np.ndarray
-    allowed: np.ndarray
-    cost: np.ndarray              # phase-2 cost of every tableau column
-    columns: int                  # structural columns, the form's ``y``
+    def __init__(self, form: _StandardForm):
+        m, n = form.a.shape
+        self.columns = n              # structural columns, the form's ``y``
+        self.tableau = np.zeros((m + 1, n + m + 1))
+        self.tableau[:m, :n] = form.a
+        self.tableau[:m, n:-1] = np.eye(m)
+        self.tableau[m, :n] = form.cost
+        self.basis = n + np.arange(m)
+        self.cost = np.r_[form.cost, np.zeros(m)]   # of every column
+
+    def inverse(self) -> np.ndarray:
+        """``B^-1``, a view into the tableau."""
+        return self.tableau[:-1, self.columns:-1]
 
     def duals(self) -> np.ndarray:
-        """``u = c_B B^-1`` of the current basis, in the form's row
-        orientation."""
-        m = self.basis.size
-        return self.flip * (self.cost[self.basis]
-                            @ self.tableau[:m, self.identity])
+        """``u = c_B B^-1`` of the current basis."""
+        return self.cost[self.basis] @ self.inverse()
 
 
 def _assignment(form: _StandardForm, bits: np.ndarray, b: np.ndarray,
-                warm: _WarmBasis | None):
+                basis: _Basis | None):
     """Solve the LP of one assignment, with right-hand side ``b``:
-    ``(status, y, warm)``.
+    ``(status, y, basis)``.
 
-    Warm when a basis is at hand, cold otherwise or when the warm answer
-    fails its certificate.  The returned ``warm`` is the basis to carry to
-    the next assignment; a warm solve pivots the given one in place.
+    From ``basis`` when one is given, and from a fresh slack basis when none
+    is or when the answer from it fails its certificate or hits the pivot
+    cap.  A fresh answer is final.  The returned ``basis`` is the one to
+    carry to the next assignment; a solve pivots it in place.
     """
-    if warm is not None:
-        answer = _dual_simplex(warm, b)
+    if basis is not None:
+        answer = _dual_simplex(basis, b)
         if answer is not None:
             status, vector = answer
-            if status == OPTIMAL and _optimum_certified(form, warm, bits, b,
+            if status == OPTIMAL and _optimum_certified(form, basis, bits, b,
                                                         vector):
-                return OPTIMAL, vector, warm
+                return OPTIMAL, vector, basis
             if status == INFEASIBLE and _farkas_certified(form, b, vector):
-                return INFEASIBLE, None, warm
-    return _cold_solve(form.a, form.direction, b, form.cost)
+                return INFEASIBLE, None, basis
+    basis = _Basis(form)
+    answer = _dual_simplex(basis, b)
+    if answer is None:
+        raise CyclingGuardError(
+            f"dual simplex exceeded {_pivot_cap(basis.tableau)} pivots on a "
+            f"{form.a.shape[0]}x{form.a.shape[1]} LP")
+    status, vector = answer
+    return status, vector if status == OPTIMAL else None, basis
 
 
 class _DualBound:
     """A lower bound on every assignment's LP, priced from one basis.
 
-    The basis's duals ``u`` lose any entry of the wrong sign for its row,
-    so ``u a y >= u b`` holds for every ``y`` that meets the rows.  With the
+    The basis's duals ``u`` lose any positive entry, so ``u a y >= u b``
+    holds for every ``y`` that meets the rows ``a y <= b``.  With the
     reduced costs ``r = cost - u a`` and ``y`` inside its box,
     ``cost y >= u b + sum_j min(r_j, 0) w_j``, where ``w_j`` is column
     ``j``'s width.  That holds for any ``u`` and any right-hand side, not
     only at the basis's own optimum (Land & Doig, 1960, bound the
     subproblems of an enumeration; Neumaier & Shcherbina, 2004, make such a
-    bound safe from rounding of the duals).  A basis with a negative
-    reduced cost on a column of unbounded width gives no bound.
-    Everything but ``u b`` depends on the basis alone, so it is computed
-    once per basis.
+    bound safe from rounding of the duals).  Everything but ``u b`` depends
+    on the basis alone, so it is computed once per basis.
     """
 
-    def __init__(self, form: _StandardForm, warm: _WarmBasis):
-        u = warm.duals()
-        u = np.where(form.direction * u > 0.0, 0.0, u)
+    def __init__(self, form: _StandardForm, basis: _Basis):
+        u = np.minimum(basis.duals(), 0.0)
         reduced = form.cost - u @ form.a
-        negative = reduced < 0.0
         self.form = form
         self.u = u
         self.abs_u = np.abs(u)
-        # -inf, so nothing is pruned, when a negative reduced cost sits on
-        # a column of unbounded width.
-        self.floor = form.constant + float(reduced[negative]
-                                           @ form.width[negative])
+        self.floor = form.constant + float(np.minimum(reduced, 0.0)
+                                           @ form.width)
 
     def prunes(self, bits: np.ndarray, b: np.ndarray,
                incumbent: float) -> bool:
@@ -576,125 +587,50 @@ class _DualBound:
             1.0 + abs(incumbent) + self.abs_u @ np.abs(b)))
 
 
-def _cold_solve(a: np.ndarray, direction: np.ndarray, b: np.ndarray,
-                cost: np.ndarray):
-    """Two-phase primal simplex on ``a y (direction) b, y >= 0``.
+def _dual_simplex(basis: _Basis, b: np.ndarray):
+    """Re-solve from ``basis``, which is dual feasible, for right-hand side
+    ``b``.
 
-    Returns ``(status, y, warm)``; ``warm`` is the final tableau when the
-    LP is optimal and ``None`` otherwise.
+    Dual simplex pivots run in place until every basic value is
+    nonnegative (``(OPTIMAL, y)``) or a short row has no column to enter
+    (``(INFEASIBLE, u)``, with ``u`` that row of ``B^-1``: a Farkas
+    certificate).  The leaving row is the most negative one, and the
+    entering column the first of least ratio, until a streak of degenerate
+    pivots switches to Bland's rule.  Returns ``None`` at the pivot cap.
     """
-    m, n = a.shape
-    if m == 0:
-        # Only nonnegativity remains; unbounded iff any payoff for growing y.
-        if np.any(cost < -_EPS):
-            return UNBOUNDED, None, None
-        return OPTIMAL, np.zeros(n), None
-
-    # Rows with a negative right-hand side are negated, which swaps <= and
-    # >=.  A <= row starts basic in its slack, the others in an artificial.
-    flip = np.where(b < 0, -1.0, 1.0)
-    sense = direction * flip
-    slack_rows = np.flatnonzero(sense != 0.0)
-    art_rows = np.flatnonzero(sense <= 0.0)
-    n_slack, n_art = slack_rows.size, art_rows.size
-    used = n + n_slack + n_art
-    tableau = np.zeros((m + 1, used + 1))
-    tableau[:m, :n] = a * flip[:, None]
-    tableau[:m, -1] = b * flip
-    slack_cols = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(n_art)
-    tableau[slack_rows, slack_cols] = sense[slack_rows]
-    tableau[art_rows, art_cols] = 1.0
-    identity = np.empty(m, dtype=int)
-    identity[slack_rows] = slack_cols
-    identity[art_rows] = art_cols
-    basis = identity.copy()
-    artificial = np.zeros(used, dtype=bool)
-    artificial[art_cols] = True
-
-    if n_art:
-        tableau[m] = -tableau[art_rows].sum(axis=0)
-        tableau[m, art_cols] += 1.0
-        status = _pivot_loop(tableau, basis, np.ones(used, dtype=bool))
-        if status != OPTIMAL:          # phase 1 is bounded below by zero
-            raise SolverError("phase-1 simplex did not terminate optimal")
-        infeas = float(tableau[:m, -1][artificial[basis]].sum())
-        if infeas > _PHASE1_TOL * max(1.0, float(np.abs(b).max())):
-            return INFEASIBLE, None, None
-        # Artificials stuck in the basis at zero level must be pivoted out
-        # (any nonzero real column will do; the pivot is degenerate), or
-        # phase 2 could silently regrow them.  A row with no real columns
-        # left is vacuous and keeps its artificial, which then never moves.
-        for r in range(m):
-            if not artificial[basis[r]]:
-                continue
-            cols = np.flatnonzero(~artificial
-                                  & (np.abs(tableau[r, :-1]) > _EPS))
-            if cols.size:
-                _pivot(tableau, basis, r, int(cols[0]))
-
-    full_cost = np.zeros(used)
-    full_cost[:n] = cost
-    tableau[m, :-1] = full_cost - full_cost[basis] @ tableau[:m, :-1]
-    if _pivot_loop(tableau, basis, ~artificial) == UNBOUNDED:
-        return UNBOUNDED, None, None
-    y = np.zeros(used)
-    y[basis] = np.maximum(tableau[:m, -1], 0.0)
-    return OPTIMAL, y[:n], _WarmBasis(tableau, basis, flip, identity,
-                                      ~artificial, full_cost, n)
-
-
-def _dual_simplex(warm: _WarmBasis, b: np.ndarray):
-    """Re-solve from ``warm``'s dual feasible basis for right-hand side ``b``.
-
-    Dual simplex pivots, with the same Dantzig choice and Bland guard as
-    the primal loop, run in place until every basic value is nonnegative
-    (``(OPTIMAL, y)``) or a short row has no column to enter
-    (``(INFEASIBLE, u)``, with ``u`` that row of ``B^-1`` in the form's row
-    orientation: a Farkas certificate).  A basic artificial sits in a row
-    with no real column, so a nonzero level there is a certificate too.
-    Returns ``None`` at the pivot cap.
-    """
-    tableau, basis = warm.tableau, warm.basis
-    m = basis.size
-    tableau[:m, -1] = tableau[:m, warm.identity] @ (warm.flip * b)
-    tol = _PHASE1_TOL * max(1.0, float(np.abs(b).max()))
+    tableau, rows = basis.tableau, basis.basis
+    m = rows.size
+    tableau[:m, -1] = basis.inverse() @ b
     degenerate_run = 0
     for _ in range(_pivot_cap(tableau)):
         beta = tableau[:m, -1]
-        stuck = ~warm.allowed[basis]
-        lost = np.flatnonzero(stuck & (np.abs(beta) > tol))
-        if lost.size:
-            r = int(lost[0])
-            return INFEASIBLE, (-np.sign(beta[r]) * warm.flip
-                                * tableau[r, warm.identity])
-        short = np.flatnonzero((beta < -_EPS) & ~stuck)
+        short = np.flatnonzero(beta < -_EPS)
         if short.size == 0:
             y = np.zeros(tableau.shape[1] - 1)
-            y[basis] = np.maximum(beta, 0.0)
-            return OPTIMAL, y[:warm.columns]
+            y[rows] = np.maximum(beta, 0.0)
+            return OPTIMAL, y[:basis.columns]
         if degenerate_run >= _BLAND_TRIGGER:
-            r = int(short[np.argmin(basis[short])])
+            r = int(short[np.argmin(rows[short])])
         else:
             r = int(short[np.argmin(beta[short])])
         row = tableau[r, :-1]
-        entering = np.flatnonzero((row < -_EPS) & warm.allowed)
+        entering = np.flatnonzero(row < -_EPS)
         if entering.size == 0:
-            return INFEASIBLE, warm.flip * tableau[r, warm.identity]
+            return INFEASIBLE, basis.inverse()[r].copy()
         ratios = tableau[m, entering] / -row[entering]
         best = float(ratios.min())
         j = int(entering[np.flatnonzero(ratios <= best + _EPS)[0]])
         degenerate_run = degenerate_run + 1 if best < _EPS else 0
-        _pivot(tableau, basis, r, j)
+        _pivot(tableau, rows, r, j)
     return None
 
 
-def _optimum_certified(form: _StandardForm, warm: _WarmBasis,
+def _optimum_certified(form: _StandardForm, basis: _Basis,
                        bits: np.ndarray, b: np.ndarray, y: np.ndarray) -> bool:
     """Whether ``y`` is an optimum, checked against the form's own arrays.
 
     The point must satisfy the model's rows and bounds.  The duals
-    ``u = c_B B^-1`` of the warm basis must price every column and slack
+    ``u = c_B B^-1`` of the basis must price every column and slack
     nonnegatively, and their bound ``u b`` must meet the point's cost.
     """
     x = form.point(y, bits)
@@ -706,12 +642,12 @@ def _optimum_certified(form: _StandardForm, warm: _WarmBasis,
     box = _CERT_TOL * (1.0 + np.abs(x))
     if np.any(x < form.lower - box) or np.any(x > form.upper + box):
         return False
-    u = warm.duals()
+    u = basis.duals()
     reduced = form.cost - u @ form.a
     if np.any(reduced < -_CERT_DUAL_TOL * (1.0 + np.abs(form.cost)
                                            + np.abs(u) @ np.abs(form.a))):
         return False
-    if np.any(form.direction * u > _CERT_DUAL_TOL * (1.0 + np.abs(u))):
+    if np.any(u > _CERT_DUAL_TOL * (1.0 + np.abs(u))):
         return False
     gap = form.cost @ y - u @ b
     return gap <= _CERT_TOL * (1.0 + np.abs(form.cost) @ np.abs(y)
@@ -720,24 +656,23 @@ def _optimum_certified(form: _StandardForm, warm: _WarmBasis,
 
 def _farkas_certified(form: _StandardForm, b: np.ndarray,
                       u: np.ndarray) -> bool:
-    """Whether row multipliers ``u`` prove ``a y (direction) b, y >= 0``
-    infeasible: ``u >= 0`` on ``<=`` rows, ``u <= 0`` on ``>=`` rows,
-    ``u a >= 0`` and ``u b < 0``, so no ``y`` can meet the rows.
+    """Whether row multipliers ``u`` prove ``a y <= b, y >= 0``
+    infeasible: ``u >= 0``, ``u a >= 0`` and ``u b < 0``, so no ``y`` can
+    meet the rows.
 
-    Entries of the wrong sign are dropped first.  With ``u`` scaled to a
-    largest entry of 1, ``-u b`` is a lower bound on the cold solve's
-    phase-1 residual, so ``u b`` must clear the same threshold that makes a
-    cold solve report ``infeasible``.
+    Negative entries are dropped first.  With ``u`` scaled to a largest
+    entry of 1, ``-u b`` is a lower bound on the summed violation of the
+    rows at any ``y >= 0``, so it must exceed :data:`_FARKAS_TOL` relative
+    to ``b``: a smaller one could be rounding.
     """
-    u = np.where(form.direction * u < 0.0, 0.0, u)
-    size = float(np.abs(u).max(initial=0.0))
+    u = np.maximum(u, 0.0)
+    size = float(u.max(initial=0.0))
     if size == 0.0:
         return False
     u = u / size
-    if u @ b >= -_PHASE1_TOL * max(1.0, float(np.abs(b).max())):
+    if u @ b >= -_FARKAS_TOL * max(1.0, float(np.abs(b).max())):
         return False
-    return bool(np.all(u @ form.a >= -_CERT_TOL * (1.0 + np.abs(u)
-                                                    @ np.abs(form.a))))
+    return bool(np.all(u @ form.a >= -_CERT_TOL * (1.0 + u @ np.abs(form.a))))
 
 
 def _pivot_cap(tableau: np.ndarray) -> int:
@@ -755,41 +690,3 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     tableau -= np.outer(factors, pivot_row)
     tableau[r] = pivot_row
     basis[r] = j
-
-
-def _pivot_loop(tableau: np.ndarray, basis: np.ndarray,
-                allowed: np.ndarray) -> str:
-    """Run primal simplex pivots in place until optimal or unbounded.
-
-    The last row of ``tableau`` holds the reduced costs, kept current by
-    the pivots; only ``allowed`` columns may enter.
-    """
-    m = basis.size
-    n = tableau.shape[1] - 1
-    degenerate_run = 0
-    max_pivots = _pivot_cap(tableau)
-    for _ in range(max_pivots):
-        reduced = tableau[m, :n]
-        entering = np.flatnonzero((reduced < -_EPS) & allowed)
-        if entering.size == 0:
-            return OPTIMAL
-        if degenerate_run >= _BLAND_TRIGGER:
-            j = int(entering[0])
-        else:
-            j = int(entering[np.argmin(reduced[entering])])
-        col = tableau[:m, j]
-        positive = col > _EPS
-        if not positive.any():
-            return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, -1][positive] / col[positive]
-        best = float(ratios.min())
-        ties = np.flatnonzero(ratios <= best + _EPS)
-        if degenerate_run >= _BLAND_TRIGGER:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[0])
-        degenerate_run = degenerate_run + 1 if best < _EPS else 0
-        _pivot(tableau, basis, r, j)
-    raise CyclingGuardError(
-        f"simplex exceeded {max_pivots} pivots on a {m}x{n} tableau")

@@ -414,7 +414,10 @@ def heat_balance_lp(line: LineSpec, weather: WeatherRecord,
     c2 = line.resistance_per_meter * i_base * i_base
     ir = ModelIR()
     temp = ir.add_variable("T", CONTINUOUS, 0.0, line.t_max)
-    conv = ir.add_variable("conv", CONTINUOUS, 0.0)
+    # ``convcap`` and ``T <= t_max`` imply this bound; the oracle needs it
+    # stated, since it solves boxed columns only.
+    conv = ir.add_variable("conv", CONTINUOUS, 0.0, max(
+        0.0, params.mu + conv_coeff * (line.t_max - t_env)))
     rad = ir.add_variable("rad", CONTINUOUS, 0.0, qrad_cap)
     w = ir.add_variable("w", CONTINUOUS, 0.0, x_ac * x_ac)
     cur = ir.add_variable("current", CONTINUOUS, 0.0, x_ac)

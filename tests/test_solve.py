@@ -21,7 +21,7 @@ from gridxpand import (ModelIR, SolveConfig, build_igtep, external_solve,
 from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
 from gridxpand.solve import (ENUMERATION_CAP, INFEASIBLE, LIMIT, OPTIMAL,
-                             PROOF_OPTIONS, UNBOUNDED, simplex_lp, solve)
+                             PROOF_OPTIONS, simplex_lp, solve)
 from support import random_instance
 
 SENSES = (LE, GE, EQ)
@@ -144,23 +144,24 @@ class TestSimplexHandCases:
 
     def test_shifted_lower_bound(self):
         ir = ModelIR()
-        x = ir.add_variable("x", CONTINUOUS, 3.0, np.inf)
+        x = ir.add_variable("x", CONTINUOUS, 3.0, 10.0)
         ir.objective = {x: 1.0}
         status, obj, _ = simplex_lp(ir)
         assert status == OPTIMAL and obj == pytest.approx(3.0)
 
     def test_mirrored_upper_bound(self):
+        # A negative cost mirrors the column about its upper bound.
         ir = ModelIR()
-        x = ir.add_variable("x", CONTINUOUS, -np.inf, 5.0)
+        x = ir.add_variable("x", CONTINUOUS, -10.0, 5.0)
         ir.objective = {x: -1.0}
         status, obj, point = simplex_lp(ir)
         assert status == OPTIMAL
         assert obj == pytest.approx(-5.0)
         assert point[x] == pytest.approx(5.0)
 
-    def test_split_free_variable(self):
+    def test_negative_lower_bound(self):
         ir = ModelIR()
-        x = ir.add_variable("x")          # free in both directions
+        x = ir.add_variable("x", CONTINUOUS, -10.0, 10.0)
         ir.objective = {x: 1.0}
         ir.add_row("floor", {x: 1.0}, GE, -4.0)
         status, obj, point = simplex_lp(ir)
@@ -180,13 +181,18 @@ class TestSimplexHandCases:
         assert point[x] == pytest.approx(1.0)
         assert point[y] == pytest.approx(2.0)
 
-    def test_unbounded(self):
+    @pytest.mark.parametrize("lower, upper", [
+        (3.0, np.inf), (-np.inf, 5.0), (-np.inf, np.inf)],
+        ids=["upper open", "lower open", "free"])
+    @pytest.mark.parametrize("solver", [simplex_lp, oracle_solve],
+                             ids=["simplex_lp", "oracle_solve"])
+    def test_unboxed_column_is_refused(self, solver, lower, upper):
         ir = ModelIR()
-        x = ir.add_variable("x")
+        ir.add_variable("y", BINARY)
+        x = ir.add_variable("open_x", CONTINUOUS, lower, upper)
         ir.objective = {x: 1.0}
-        status, obj, point = simplex_lp(ir)
-        assert status == UNBOUNDED
-        assert obj is None and point is None
+        with pytest.raises(SolverError, match="open_x"):
+            solver(ir)
 
     def test_infeasible(self):
         ir = ModelIR()
@@ -512,15 +518,6 @@ class TestOracleSolve:
         assert sol.value(ir, "y") == 0.0
         assert sol.backend == "oracle"
 
-    def test_unbounded_assignment_wins(self):
-        ir = ModelIR()
-        ir.add_variable("y", BINARY)
-        x = ir.add_variable("x")
-        ir.objective = {x: 1.0}
-        sol = oracle_solve(ir)
-        assert sol.status == UNBOUNDED
-        assert sol.objective is None
-
     def test_infeasible_all_assignments(self):
         ir = ModelIR()
         y = ir.add_variable("y", BINARY)
@@ -573,8 +570,6 @@ def cold_enumeration(ir: ModelIR) -> tuple[str, float | None, list[str]]:
         status, objective, _ = simplex_lp(
             ir, bounds_override={v.index: (b, b) for v, b in zip(free, bits)})
         statuses.append(status)
-        if status == UNBOUNDED:
-            return UNBOUNDED, None, statuses
         if status == OPTIMAL and (best is None or objective < best):
             best = objective
     return (INFEASIBLE if best is None else OPTIMAL), best, statuses
@@ -619,12 +614,13 @@ def returns(monkeypatch, owner, name: str) -> list:
 
 
 class TestOracleWarmStarts:
-    """The oracle prices each assignment by the last optimal basis's duals
-    and re-solves those it cannot prune from that basis."""
+    """The oracle prices each assignment by the last basis's duals and
+    re-solves those it cannot prune from that basis."""
 
     # Seeds 54, 43 and 5 draw dc_det, dc_robust and dtlr_robust models whose
-    # first 31, 11 and 7 assignments are infeasible, so no warm basis exists
-    # yet; seed 50 has no feasible assignment at all.
+    # first 31, 11 and 7 assignments are infeasible, so the basis the later
+    # ones start from was left by infeasible LPs; seed 50 has no feasible
+    # assignment at all.
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @example(54)
     @example(43)
@@ -637,69 +633,77 @@ class TestOracleWarmStarts:
         assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
 
     def test_warm_basis_serves_every_later_assignment(self, monkeypatch):
-        ir = planning_model(5)
-        _, _, statuses = cold_enumeration(ir)
-        cold = counting(monkeypatch, "_cold_solve")
-        assert oracle_solve(ir, ORACLE).status == "optimal"
-        # The leading infeasible assignments and the first feasible one.
-        assert len(cold) == statuses.index(OPTIMAL) + 1
+        """Only the first assignment starts from the slack basis, even when
+        the assignments before the first feasible one are infeasible."""
+        for seed in (54, 43, 5):
+            ir = planning_model(seed)
+            _, _, statuses = cold_enumeration(ir)
+            assert statuses[0] == INFEASIBLE
+            with monkeypatch.context() as patch:
+                fresh = counting(patch, "_Basis")
+                assert oracle_solve(ir, ORACLE).status == OPTIMAL
+            assert len(fresh) == 1
 
     @pytest.mark.parametrize("corruption", ["point", "false infeasible"])
-    def test_corrupted_warm_answer_is_solved_cold(self, monkeypatch,
-                                                  corruption):
+    def test_corrupted_warm_answer_is_solved_fresh(self, monkeypatch,
+                                                   corruption):
         ir = planning_model(5)
         status, objective, _ = cold_enumeration(ir)
-        warm_step = solve_module._dual_simplex
-        cold_step = solve_module._cold_solve
+        step = solve_module._dual_simplex
+        make = solve_module._Basis
+        unused = []                   # a fresh basis before its first solve
         events = []
 
-        def corrupted(warm, b):
-            answer = warm_step(warm, b)
+        def fresh(form):
+            unused.append(make(form))
+            return unused[-1]
+
+        def corrupted(basis, b):
+            answer = step(basis, b)
+            if unused and basis is unused.pop():
+                events.append("fresh " + answer[0])
+                return answer
             if answer is None or answer[0] != OPTIMAL:
                 events.append("warm")
                 return answer
             events.append("corrupted")
-            y = answer[1]
             if corruption == "point":
-                return OPTIMAL, 1.5 * y + 0.5
-            return INFEASIBLE, warm.flip * warm.tableau[0, warm.identity]
+                return OPTIMAL, 1.5 * answer[1] + 0.5
+            return INFEASIBLE, basis.inverse()[0].copy()
 
-        def cold(*args):
-            answer = cold_step(*args)
-            events.append("cold " + answer[0])
-            return answer
-
+        monkeypatch.setattr(solve_module, "_Basis", fresh)
         monkeypatch.setattr(solve_module, "_dual_simplex", corrupted)
-        monkeypatch.setattr(solve_module, "_cold_solve", cold)
         assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
-        # After the first feasible assignment, every corrupted warm answer
-        # is refused and solved cold, and nothing else is: with the
-        # uncorrupted warm answers left out, the calls alternate.
-        later = [e for e in events[events.index("cold optimal") + 1:]
-                 if e != "warm"]
+        # After the first solve, every corrupted warm answer is refused and
+        # solved fresh, and nothing else is: with the uncorrupted warm
+        # answers left out, the calls alternate.
+        assert events[0] == "fresh infeasible"
+        later = [e for e in events[1:] if e != "warm"]
         assert later and len(later) % 2 == 0
         assert set(later[0::2]) == {"corrupted"}
-        assert all(e.startswith("cold") for e in later[1::2])
+        assert set(later[1::2]) == {"fresh optimal"}
 
     # Seed 0 (dc_robust) would lose its optimum if the bound dropped the
-    # negative reduced costs, seed 5 (dtlr_robust) if it kept duals of the
-    # wrong sign.
-    @pytest.mark.parametrize("seed, scale", [(0, 10.0), (5, -1.0)])
+    # negative reduced costs, seed 42 (dtlr_robust) if it kept duals of the
+    # wrong sign.  Seed 5 is the model the other tests here solve.
+    @pytest.mark.parametrize("seed, scale", [(0, 10.0), (5, -1.0),
+                                             (42, -1.0)])
     def test_corrupted_duals_never_prune_the_optimum(self, monkeypatch,
                                                      seed, scale):
         """The pruning bound holds for any duals: scaled duals break
-        dual feasibility and negated ones every row's sign."""
+        dual feasibility and negated ones every row's sign.  The costs that
+        price the duals are corrupted in every fresh basis; its reduced
+        costs, which steer the pivots, are not."""
         ir = planning_model(seed)
         status, objective, _ = cold_enumeration(ir)
-        cold_step = solve_module._cold_solve
+        make = solve_module._Basis
 
-        def corrupted(*args):
-            answer = cold_step(*args)
-            if answer[2] is not None:
-                answer[2].cost = scale * answer[2].cost
-            return answer
+        def corrupted(form):
+            basis = make(form)
+            basis.cost = scale * basis.cost
+            return basis
 
-        monkeypatch.setattr(solve_module, "_cold_solve", corrupted)
+        monkeypatch.setattr(solve_module, "_Basis", corrupted)
         bounds = counting(monkeypatch, "_DualBound")
         assert_same_answer(oracle_solve(ir, ORACLE), status, objective)
         assert bounds
