@@ -4,7 +4,9 @@ The ``external`` backend hands the model to HiGHS and is the one used for
 real planning runs.  It drives the ``_Highs`` object that scipy bundles in
 ``scipy.optimize._highspy._core``, because only that object accepts a MIP
 start (``setSolution``); the runner seeds thermal solves through it.  The
-module is private to scipy, and its shape is pinned by the tests.  Each
+module is private to scipy, and its shape is pinned by the tests.  It is
+loaded from its file (:func:`_load_highs`), so the planner runs none of
+``scipy.optimize`` or ``scipy.sparse``.  Each
 solve reports the proven gap, the dual bound and the node count.  A start
 is only an incumbent and never changes the optimum.
 Callers that already expect a good incumbent, from root rounding or a
@@ -16,8 +18,10 @@ reduced-cost fixing has fixed a few binaries.  Both steer the search only,
 never the optimum.
 
 Both backends read the model through one export to arrays
-(:func:`_model_arrays`): cost, a sparse row matrix, right-hand sides, row
-directions and variable bounds.
+(:func:`_model_arrays`): cost, the row matrix as a compressed sparse row
+triple of plain arrays, right-hand sides, row directions and variable
+bounds.  HiGHS takes the triple row-wise; the oracle spreads it into
+dense rows.
 
 The ``oracle`` backend is deliberately independent of HiGHS: it uses numpy
 and nothing else.  It enumerates every assignment of the free binaries and
@@ -46,6 +50,8 @@ binaries than :data:`ENUMERATION_CAP`.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import os
@@ -56,11 +62,44 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy import _core as _highs
 
 from .errors import CyclingGuardError, SolverError
 from .ir import BINARY, EQ, GE, LE, ModelIR
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS binding, without running ``scipy/optimize/__init__.py``.
+
+    That package init loads ``scipy.sparse``, ``scipy.linalg`` and
+    ``linprog``, none of which is used here, and takes most of a start-up.
+    The compiled module is found in scipy's tree by
+    :func:`importlib.util.find_spec`, which imports nothing, and loaded from
+    its file under its own name, so a later ``import scipy.optimize`` finds
+    it in :data:`sys.modules` and shares the one module object.  When scipy
+    imported it first, that object is taken; when its file is not found,
+    the plain import serves.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    for location in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "optimize", "_highspy",
+                                "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_HIGHS_MODULE,
+                                                              path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_HIGHS_MODULE] = module
+                return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+_highs = _load_highs()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -174,7 +213,6 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                         np.zeros(0) if ok else None,
                         time.perf_counter() - t0, "external")
 
-    matrix = model.matrix.tocsc()
     integrality = np.array([1 if v.kind == BINARY else 0 for v in ir.variables])
     with _stdout_to_stderr():
         try:
@@ -188,10 +226,10 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                                      -np.inf)
             lp.row_upper_ = np.where(model.direction >= 0.0, model.rhs,
                                      np.inf)
-            lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = matrix.indptr
-            lp.a_matrix_.index_ = matrix.indices
-            lp.a_matrix_.value_ = matrix.data
+            lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+            lp.a_matrix_.start_ = model.indptr
+            lp.a_matrix_.index_ = model.indices
+            lp.a_matrix_.value_ = model.data
             lp.integrality_ = [_highs.HighsVarType(int(k))
                                for k in integrality]
 
@@ -366,12 +404,15 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
 
 
 class _ModelArrays(NamedTuple):
-    """A model as arrays: row ``r`` reads ``matrix[r] @ x`` against
-    ``rhs[r]`` in the sense of ``direction[r]`` (``<=`` 1, ``>=`` -1,
-    ``=`` 0)."""
+    """A model as arrays: row ``r`` reads ``data[k] * x[indices[k]]``,
+    summed over ``k`` in ``indptr[r]:indptr[r + 1]`` (a compressed sparse
+    row matrix), against ``rhs[r]`` in the sense of ``direction[r]``
+    (``<=`` 1, ``>=`` -1, ``=`` 0)."""
 
     cost: np.ndarray
-    matrix: sp.csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     rhs: np.ndarray
     direction: np.ndarray
     lower: np.ndarray
@@ -391,7 +432,6 @@ def _model_arrays(ir: ModelIR, override: dict[int, tuple[float, float]]
     data = np.fromiter(itertools.chain.from_iterable(
         row.coeffs.values() for row in ir.rows), dtype=float,
         count=indptr[-1])
-    matrix = sp.csr_array((data, indices, indptr), shape=(ir.num_rows, n))
     rhs = np.array([row.rhs for row in ir.rows], dtype=float)
     direction = np.array([_DIRECTION[row.sense] for row in ir.rows],
                          dtype=float)
@@ -399,7 +439,8 @@ def _model_arrays(ir: ModelIR, override: dict[int, tuple[float, float]]
     upper = np.array([v.upper for v in ir.variables], dtype=float)
     for idx, (lo, hi) in (override or {}).items():
         lower[idx], upper[idx] = lo, hi
-    return _ModelArrays(cost, matrix, rhs, direction, lower, upper)
+    return _ModelArrays(cost, indptr, indices, data, rhs, direction, lower,
+                        upper)
 
 
 def _boxed_arrays(ir: ModelIR, override: dict[int, tuple[float, float]]
@@ -441,7 +482,10 @@ class _StandardForm:
     """
 
     def __init__(self, model: _ModelArrays, pinned: list[int]):
-        dense = model.matrix.toarray()
+        dense = np.zeros((model.rhs.size, model.cost.size))
+        np.add.at(dense, (np.repeat(np.arange(model.rhs.size),
+                                    np.diff(model.indptr)), model.indices),
+                  model.data)
         self.model_rows = dense
         self.model_rhs = model.rhs
         self.model_direction = model.direction

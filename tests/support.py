@@ -18,12 +18,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+import gridxpand
 from gridxpand import (BusSpec, CaseSystem, ConductorSpec, ConvectionCoeffs,
                        GeneratorSpec, LineSpec, ModelIR, PeriodSpec,
                        RobustParams, SolveConfig, WeatherRecord, build_igtep,
@@ -483,6 +488,19 @@ def angle_window_span(beta: float, conductance: float,
                       half_range: float = 0.6) -> float:
     """Max |linearized AC flow| over the trig window (p.u.)."""
     return half_range * (0.95 * beta + 0.24 * conductance)
+
+
+def fresh_python(*args: str) -> str:
+    """Run a new interpreter with ``args`` that imports gridxpand from where
+    this process found it; its stdout.  A non-zero exit fails the test
+    with the child's stderr."""
+    src = str(Path(gridxpand.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def assert_close(a: float, b: float, rel: float = 1e-9, abs_tol: float = 0.0):

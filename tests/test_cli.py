@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import gridxpand
 from gridxpand import save_case
 from gridxpand.cli import main
-from support import toy_case
+from support import fresh_python, toy_case
 
 
 @pytest.fixture()
@@ -216,14 +211,24 @@ class TestFit:
 
 class TestEntryPoint:
     def test_module_invocation(self, six_bus_path):
-        # the child imports gridxpand from where this process found it
-        src = str(Path(gridxpand.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gridxpand", "validate",
-             "--case", six_bus_path],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0
-        assert "ok" in proc.stdout
+        assert "ok" in fresh_python("-m", "gridxpand", "validate", "--case",
+                                    six_bus_path)
+
+    @pytest.mark.parametrize("command", ["import", "validate"])
+    def test_scipy_solver_packages_stay_unloaded(self, six_bus_path, command):
+        """The planner takes only HiGHS's compiled binding from scipy;
+        ``scipy.optimize`` and ``scipy.sparse`` would triple its start-up."""
+        run = {"import": "import gridxpand",
+               "validate": "import runpy\n"
+                           "sys.argv = ['gridxpand', 'validate', '--case',\n"
+                           f"            {six_bus_path!r}]\n"
+                           "try:\n"
+                           "    runpy.run_module('gridxpand', "
+                           "run_name='__main__')\n"
+                           "except SystemExit as stop:\n"
+                           "    assert stop.code == 0, stop.code\n"}[command]
+        out = fresh_python(
+            "-c", f"import sys\n{run}\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse')\n"
+            "             if m in sys.modules))\n")
+        assert out.splitlines()[-1] == "[]"

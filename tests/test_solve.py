@@ -22,7 +22,7 @@ from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
 from gridxpand.solve import (ENUMERATION_CAP, INFEASIBLE, LIMIT, OPTIMAL,
                              PROOF_OPTIONS, simplex_lp, solve)
-from support import random_instance
+from support import fresh_python, random_instance
 
 SENSES = (LE, GE, EQ)
 _SENSE_CODE = {LE: 0, GE: 1, EQ: 2}
@@ -309,32 +309,36 @@ class TestModelArrays:
         cost = np.zeros(ir.num_variables)
         for j, a in ir.objective.items():
             cost[j] = a
-        data, rows, cols = [], [], []
+        indptr, indices, data = [0], [], []
+        dense = np.zeros((ir.num_rows, ir.num_variables))
         row_lo = np.empty(ir.num_rows)
         row_hi = np.empty(ir.num_rows)
         for r, row in enumerate(ir.rows):
             for j, a in row.coeffs.items():
-                rows.append(r)
-                cols.append(j)
+                indices.append(j)
                 data.append(a)
+                dense[r, j] = a
+            indptr.append(len(indices))
             row_lo[r] = -np.inf if row.sense == LE else row.rhs
             row_hi[r] = np.inf if row.sense == GE else row.rhs
-        matrix = sp.csc_array((data, (rows, cols)),
-                              shape=(ir.num_rows, ir.num_variables))
-        return cost, matrix, row_lo, row_hi
+        triple = (np.array(indptr, dtype=np.int64),
+                  np.array(indices, dtype=np.int64), np.array(data))
+        return cost, triple, dense, row_lo, row_hi
 
     def assert_same(self, ir: ModelIR):
         model = solve_module._model_arrays(ir)
-        cost, matrix, row_lo, row_hi = self.row_by_row(ir)
-        got = model.matrix.tocsc()
-        for a, b in ((model.cost, cost), (got.indptr, matrix.indptr),
-                     (got.indices, matrix.indices), (got.data, matrix.data),
+        cost, (indptr, indices, data), dense, row_lo, row_hi = \
+            self.row_by_row(ir)
+        # the oracle's dense rows, filled from the triple
+        rows = solve_module._StandardForm(model, pinned=[]).model_rows
+        for a, b in ((model.cost, cost), (model.indptr, indptr),
+                     (model.indices, indices), (model.data, data),
+                     (rows, dense),
                      (np.where(model.direction <= 0.0, model.rhs, -np.inf),
                       row_lo),
                      (np.where(model.direction >= 0.0, model.rhs, np.inf),
                       row_hi)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert np.array_equal(model.matrix.toarray(), matrix.toarray())
 
     def test_random_lps(self):
         rng = np.random.default_rng(8080)
@@ -347,14 +351,111 @@ class TestModelArrays:
         self.assert_same(build_igtep(six_bus, six_bus_robust, mode)[0])
         self.assert_same(build_igtep(rts24, rts24_scenario.robust, mode)[0])
 
+    @pytest.mark.parametrize("mode", ["dc_det", "dc_robust", "dtlr_robust"])
+    def test_highs_holds_the_column_matrix(self, monkeypatch, six_bus,
+                                           six_bus_robust, rts24,
+                                           rts24_scenario, mode):
+        """``external_solve`` hands HiGHS the rows; HiGHS holds them as the
+        column matrix scipy's ``tocsc()`` makes of the same triple, which is
+        what the backend passed before it stopped using ``scipy.sparse``."""
+        h = solve_module._highs
+        real = h._Highs
+        held = []
+
+        class Reading:
+            """Reads the model HiGHS holds at ``run`` instead of solving."""
+
+            def __init__(self):
+                self._highs = real()
+
+            def run(self):
+                a = self._highs.getLp().a_matrix_
+                held.append((a.format_, np.asarray(a.start_),
+                             np.asarray(a.index_), np.asarray(a.value_)))
+                return h.HighsStatus.kOk
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+        monkeypatch.setattr(h, "_Highs", Reading)
+        for ir in (build_igtep(six_bus, six_bus_robust, mode)[0],
+                   build_igtep(rts24, rts24_scenario.robust, mode)[0]):
+            model = solve_module._model_arrays(ir)
+            want = sp.csr_array((model.data, model.indices, model.indptr),
+                                shape=(ir.num_rows, ir.num_variables)).tocsc()
+            held.clear()
+            external_solve(ir)
+            fmt, start, index, value = held[0]
+            assert fmt == h.MatrixFormat.kColwise
+            for a, b in ((start, want.indptr), (index, want.indices),
+                         (value, want.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 class TestHighsBinding:
     """The private scipy members the external backend drives.
 
-    ``gridxpand.solve`` imports ``scipy.optimize._highspy._core`` directly,
-    so a scipy without it fails at import; these tests make a change to the
-    members it uses fail loudly too.
+    ``gridxpand.solve`` loads ``scipy.optimize._highspy._core`` from its
+    file, under that name, and falls back to the plain import, so a scipy
+    without it fails at import; these tests make a change to the members it
+    uses, or a second copy of the module, fail loudly too.
     """
+
+    @pytest.mark.parametrize("first, then", [
+        ("import gridxpand.solve as s",
+         "from scipy.optimize._highspy import _core"),
+        ("from scipy.optimize._highspy import _core",
+         "import gridxpand.solve as s")],
+        ids=["gridxpand_first", "scipy_first"])
+    def test_one_module_in_either_import_order(self, first, then):
+        """The first import registers the binding under its own name, and
+        the second finds it there."""
+        out = fresh_python(
+            "-c", f"import sys\n{first}\n"
+            "held = sys.modules.get('scipy.optimize._highspy._core')\n"
+            f"{then}\nimport scipy.optimize._highspy._core as h\n"
+            "print(held is s._highs is _core is h)")
+        assert out.split() == ["True"]
+
+    def test_scipy_solvers_work_after_gridxpand(self):
+        """perfbench's checks call ``linprog`` with gridxpand already
+        loaded, so scipy's own HiGHS path must run on the module loaded
+        from its file."""
+        out = fresh_python(
+            "-c", "import sys\n"
+            "import numpy as np\n"
+            "import gridxpand\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from scipy.optimize import (Bounds, LinearConstraint, linprog,\n"
+            "                            milp)\n"
+            "lp = linprog([-1, -2], A_ub=[[1, 1]], b_ub=[1],\n"
+            "             bounds=[(0, 1)] * 2, method='highs')\n"
+            "mip = milp([-3, -4, -2], integrality=np.ones(3),\n"
+            "           bounds=Bounds(0, 1),\n"
+            "           constraints=LinearConstraint([[2, 3, 1]], -np.inf, 4))\n"
+            "for r in (lp, mip):\n"
+            "    print(r.status, round(r.fun, 9), np.round(r.x, 9).tolist())\n")
+        assert out.splitlines() == ["False", "0 -2.0 [0.0, 1.0]",
+                                    "0 -6.0 [0.0, 1.0, 1.0]"]
+
+    def test_plain_import_when_the_file_is_not_found(self):
+        """With scipy's tree unfindable the plain import serves, and the
+        backend still solves."""
+        out = fresh_python(
+            "-c", "import importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, package=None: (\n"
+            "    None if name == 'scipy' else find_spec(name, package))\n"
+            "import gridxpand.solve as s\n"
+            "from gridxpand.ir import BINARY, LE, ModelIR\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "print(s._highs is sys.modules['scipy.optimize._highspy._core'])\n"
+            "ir = ModelIR()\n"
+            "x, y = (ir.add_variable(n, BINARY) for n in 'xy')\n"
+            "ir.objective = {x: -3.0, y: -4.0}\n"
+            "ir.add_row('budget', {x: 2.0, y: 3.0}, LE, 4.0)\n"
+            "print(s.external_solve(ir).objective)\n")
+        assert out.splitlines() == ["True", "True", "-4.0"]
 
     def test_members_keep_their_shape(self):
         h = solve_module._highs
