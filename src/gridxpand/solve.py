@@ -14,8 +14,12 @@ start, may ask for a proof solve (``sub_mips=False``).  It switches off
 HiGHS's sub-MIP primal heuristics (RINS, RENS and root reduced cost), which
 there spend most of the search re-finding that incumbent, and its root
 restarts, which presolve again and redo the root LP and cuts after
-reduced-cost fixing has fixed a few binaries.  Both steer the search only,
-never the optimum.
+reduced-cost fixing has fixed a few binaries.  Every solve, proof or not,
+switches off the feasibility-jump primal heuristic, a fixed 8-12 ms per
+solve in HiGHS 1.12 that never changed a node count or an answer on the
+models measured.  These options steer the search only, never the optimum,
+and an option HiGHS refuses is an error, so a renamed one cannot quietly
+come back on.
 
 Both backends read the model through one export to arrays
 (:func:`_model_arrays`): cost, the row matrix as a compressed sparse row
@@ -50,6 +54,7 @@ binaries than :data:`ENUMERATION_CAP`.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import importlib.machinery
 import importlib.util
 import itertools
@@ -108,6 +113,11 @@ LIMIT = "limit"
 ERROR = "error"
 
 ENUMERATION_CAP = 20             # free binaries the oracle enumerates
+
+# HiGHS options every external solve sets, proof solve or not: no console
+# log and no feasibility-jump heuristic (see the module docstring).
+FIXED_OPTIONS = {"log_to_console": False,
+                 "mip_heuristic_run_feasibility_jump": False}
 
 # HiGHS options that ``sub_mips=False`` turns off: the sub-MIP heuristics
 # and root restarts.
@@ -199,8 +209,10 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     ``sub_mips=False`` makes it a proof solve: it switches off the options
     in :data:`PROOF_OPTIONS`, HiGHS's sub-MIP heuristics and its root
     restarts.  That changes how fast the optimum is found and proved, not
-    the optimum.  The default leaves every search option at HiGHS's own
-    value.
+    the optimum.  Every solve, proof or default, also sets
+    :data:`FIXED_OPTIONS`: no console log and no feasibility-jump
+    heuristic; the default leaves every other search option at HiGHS's own
+    value.  An option HiGHS refuses raises :class:`SolverError` naming it.
     """
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
@@ -234,14 +246,14 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                                for k in integrality]
 
             highs = _highs._Highs()
-            highs.setOptionValue("log_to_console", False)
-            highs.setOptionValue("time_limit", float(config.time_limit))
-            highs.setOptionValue("mip_rel_gap", float(config.mip_gap))
+            options = {**FIXED_OPTIONS,
+                       "time_limit": float(config.time_limit),
+                       "mip_rel_gap": float(config.mip_gap)}
             if not sub_mips:
-                for name in PROOF_OPTIONS:
-                    if (highs.setOptionValue(name, False)
-                            != _highs.HighsStatus.kOk):
-                        raise SolverError(f"HiGHS refused option {name}")
+                options.update(dict.fromkeys(PROOF_OPTIONS, False))
+            for name, value in options.items():
+                if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+                    raise SolverError(f"HiGHS refused option {name}")
             if highs.passModel(lp) == _highs.HighsStatus.kError:
                 raise SolverError("HiGHS refused the model")
             if start is not None:
@@ -277,6 +289,16 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
 _redirect_lock = threading.Lock()
 _redirect_depth = 0
 _saved_stdout_fd = -1
+try:
+    _c_fflush = ctypes.CDLL(None).fflush     # C stdio, where HiGHS prints
+except (OSError, TypeError, AttributeError):  # no C library by that handle
+    _c_fflush = None
+
+
+def _flush_c_stdio():
+    """Write out what the C library holds buffered for its streams."""
+    if _c_fflush is not None:
+        _c_fflush(None)
 
 
 @contextlib.contextmanager
@@ -286,14 +308,17 @@ def _stdout_to_stderr():
     HiGHS 1.12 prints some MIP messages (for example
     ``HighsMipSolverData::transformNewIntegerFeasibleSolution``) straight to
     stdout, past ``log_to_console`` and ``output_flag``.  Redirecting the
-    descriptor keeps them out of a program's own output.  Overlapping
-    solves in several threads share one redirect; the last one out
-    restores stdout.
+    descriptor keeps them out of a program's own output.  When stdout is
+    not a terminal, the C library buffers those messages; they are flushed
+    before stdout is restored, or they would reach it when the program
+    exits, after its own output.  Overlapping solves in several threads
+    share one redirect; the last one out restores stdout.
     """
     global _redirect_depth, _saved_stdout_fd
     with _redirect_lock:
         if _redirect_depth == 0:
             sys.stdout.flush()
+            _flush_c_stdio()
             _saved_stdout_fd = os.dup(1)
             os.dup2(2, 1)
         _redirect_depth += 1
@@ -303,6 +328,7 @@ def _stdout_to_stderr():
         with _redirect_lock:
             _redirect_depth -= 1
             if _redirect_depth == 0:
+                _flush_c_stdio()
                 os.dup2(_saved_stdout_fd, 1)
                 os.close(_saved_stdout_fd)
 

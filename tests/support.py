@@ -490,15 +490,15 @@ def angle_window_span(beta: float, conductance: float,
     return half_range * (0.95 * beta + 0.24 * conductance)
 
 
-def fresh_python(*args: str) -> str:
+def fresh_python(*args: str, **env: str) -> str:
     """Run a new interpreter with ``args`` that imports gridxpand from where
-    this process found it; its stdout.  A non-zero exit fails the test
-    with the child's stderr."""
+    this process found it, with ``env`` added to its environment; its
+    stdout.  A non-zero exit fails the test with the child's stderr."""
     src = str(Path(gridxpand.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, **env, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import sys
 import threading
@@ -17,14 +18,15 @@ from hypothesis import strategies as st
 
 import gridxpand.solve as solve_module
 from gridxpand import (ModelIR, SolveConfig, build_igtep, external_solve,
-                       oracle_solve)
+                       oracle_solve, plan_document, run_plan, scale_to_peak)
 from gridxpand.errors import SolverError
 from gridxpand.ir import BINARY, CONTINUOUS, EQ, GE, LE
-from gridxpand.solve import (ENUMERATION_CAP, INFEASIBLE, LIMIT, OPTIMAL,
-                             PROOF_OPTIONS, simplex_lp, solve)
+from gridxpand.solve import (ENUMERATION_CAP, FIXED_OPTIONS, INFEASIBLE,
+                             LIMIT, OPTIMAL, PROOF_OPTIONS, simplex_lp, solve)
 from support import fresh_python, random_instance
 
 SENSES = (LE, GE, EQ)
+FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
 _SENSE_CODE = {LE: 0, GE: 1, EQ: 2}
 
 
@@ -511,8 +513,19 @@ class TestHighsBinding:
         assert highs.setOptionValue(name, False) == h.HighsStatus.kOk
         assert highs.getOptionValue(name)[1] is False
 
+    @pytest.mark.parametrize("name", ["log_to_console",
+                                      FEASIBILITY_JUMP])
+    def test_fixed_options_accept_false(self, name):
+        """Every solve switches these off; a renamed feasibility-jump
+        option would quietly bring the heuristic back."""
+        assert FIXED_OPTIONS[name] is False
+        h = solve_module._highs
+        highs = h._Highs()
+        assert highs.setOptionValue(name, False) == h.HighsStatus.kOk
+        assert highs.getOptionValue(name)[1] is False
+
     def test_refused_sub_mip_option_raises(self, monkeypatch):
-        recorder = self._record_options(monkeypatch, refuse=True)
+        recorder = record_options(monkeypatch, refuse=PROOF_OPTIONS)
         with pytest.raises(SolverError, match=PROOF_OPTIONS[0]):
             external_solve(known_milp(), sub_mips=False)
         # a default solve touches none of these options: it keeps the
@@ -521,36 +534,108 @@ class TestHighsBinding:
         assert external_solve(known_milp()).objective == pytest.approx(-6.0)
         assert not set(recorder) & set(PROOF_OPTIONS)
 
+    @pytest.mark.parametrize("name", ["time_limit", FEASIBILITY_JUMP])
+    @pytest.mark.parametrize("sub_mips", [True, False])
+    def test_any_refused_option_raises(self, monkeypatch, name, sub_mips):
+        record_options(monkeypatch, refuse=(name,))
+        with pytest.raises(SolverError, match=f"refused option {name}$"):
+            external_solve(known_milp(), sub_mips=sub_mips)
+
     def test_sub_mips_false_switches_the_four_off(self, monkeypatch):
-        recorder = self._record_options(monkeypatch, refuse=False)
+        recorder = record_options(monkeypatch)
         sol = external_solve(known_milp(), sub_mips=False)
         assert sol.objective == pytest.approx(-6.0)
         assert {name: recorder[name] for name in PROOF_OPTIONS} == \
             dict.fromkeys(PROOF_OPTIONS, False)
 
+    @pytest.mark.parametrize("sub_mips", [True, False])
+    def test_every_solve_switches_feasibility_jump_off(self, monkeypatch,
+                                                       sub_mips):
+        recorder = record_options(monkeypatch)
+        sol = external_solve(known_milp(), SolveConfig(time_limit=7.0,
+                                                       mip_gap=1e-6),
+                             sub_mips=sub_mips)
+        assert sol.objective == pytest.approx(-6.0)
+        assert recorder[FEASIBILITY_JUMP] is False
+        assert recorder["log_to_console"] is False
+        assert recorder["time_limit"] == 7.0
+        assert recorder["mip_rel_gap"] == 1e-6
+
+
+def record_options(monkeypatch, refuse: tuple = (),
+                   force: dict | None = None) -> dict:
+    """Route ``_Highs.setOptionValue`` through a recorder of what the
+    backend asks for.  Options named in ``refuse`` answer ``kError``;
+    ``force`` maps options to the values HiGHS gets in their place."""
+    h = solve_module._highs
+    real = h._Highs
+    force = force or {}
+    recorder: dict = {}
+
+    class Recording:
+        def __init__(self):
+            self._highs = real()
+
+        def setOptionValue(self, name, value):
+            recorder[name] = value
+            if name in refuse:
+                return h.HighsStatus.kError
+            return self._highs.setOptionValue(name, force.get(name, value))
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+    monkeypatch.setattr(h, "_Highs", Recording)
+    return recorder
+
+
+class TestFeasibilityJumpOff:
+    """Switching the heuristic off steers the search only: plans and
+    solutions found with it forced back on are the same, byte for byte."""
+
+    CONFIG = SolveConfig(time_limit=60.0, mip_gap=1e-4)
+
     @staticmethod
-    def _record_options(monkeypatch, refuse: bool) -> dict:
-        """Route ``_Highs.setOptionValue`` through a recorder; with
-        ``refuse`` it answers ``kError`` for the proof options."""
-        h = solve_module._highs
-        real = h._Highs
-        recorder: dict = {}
+    def _same_both_ways(monkeypatch, solve_once, *args):
+        results = []
+        for force in ({FEASIBILITY_JUMP: True}, {}):
+            with monkeypatch.context() as m:
+                recorder = record_options(m, force=force)
+                results.append(solve_once(*args))
+            assert recorder[FEASIBILITY_JUMP] is False
+        assert results[0] == results[1]
 
-        class Recording:
-            def __init__(self):
-                self._highs = real()
+    @classmethod
+    def _plan_bytes(cls, case, params, mode):
+        plan = run_plan(case, params, mode, cls.CONFIG)
+        return json.dumps(plan_document(plan), sort_keys=True)
 
-            def setOptionValue(self, name, value):
-                recorder[name] = value
-                if refuse and name in PROOF_OPTIONS:
-                    return h.HighsStatus.kError
-                return self._highs.setOptionValue(name, value)
+    @classmethod
+    def _plan_and_solution(cls, case, params, mode):
+        ir, _ = build_igtep(case, params, mode)
+        sol = external_solve(ir, cls.CONFIG)
+        binaries = [v.index for v in ir.free_binaries()]
+        return (cls._plan_bytes(case, params, mode), sol.status,
+                sol.objective,
+                None if sol.values is None else sol.values[binaries].tolist())
 
-            def __getattr__(self, name):
-                return getattr(self._highs, name)
+    @pytest.mark.parametrize("mode", ["dc_det", "dc_robust"])
+    @pytest.mark.parametrize("peak", [300.0, 400.0, 500.0, 600.0, 700.0])
+    def test_six_bus_static_rows(self, monkeypatch, six_bus, six_bus_robust,
+                                 peak, mode):
+        """The document holds the status, the objective and, as the added
+        lines and units, every binary of a static model."""
+        params = six_bus_robust if mode == "dc_robust" else None
+        self._same_both_ways(monkeypatch, self._plan_bytes,
+                             scale_to_peak(six_bus, peak), params, mode)
 
-        monkeypatch.setattr(h, "_Highs", Recording)
-        return recorder
+    def test_random_instances(self, monkeypatch):
+        """Planned by ``run_plan`` and solved with the defaults, as the
+        oracle agreement checks solve them."""
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            self._same_both_ways(monkeypatch, self._plan_and_solution,
+                                 *random_instance(rng))
 
 
 class TestPackageNamespace:
@@ -585,6 +670,18 @@ class TestStdoutRedirect:
         assert not any(t.is_alive() for t in threads)
         assert len(seen) == 8 * 200 and all(seen)
         assert os.path.samestat(os.fstat(1), before)
+
+    def test_buffered_c_output_stays_off_stdout(self):
+        """HiGHS prints through the C library, which buffers a pipe's
+        output; what it printed inside the redirect must not surface on
+        stdout at exit.  An empty ``PYTHONUNBUFFERED`` leaves C stdio
+        buffered in the child."""
+        out = fresh_python("-c", (
+            "import ctypes, gridxpand.solve as s\n"
+            "with s._stdout_to_stderr():\n"
+            "    ctypes.CDLL(None).printf(b'from C\\n')\n"
+            "print('done')"), PYTHONUNBUFFERED="")
+        assert out == "done\n"
 
 
 class TestOracleSolve:
