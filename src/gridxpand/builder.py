@@ -22,8 +22,10 @@ angles) and differ in how line capacity is modeled:
     line and period, computed at build time: the rating ``|flow| <= R``
     (:class:`LineRating`, from one :func:`_line_rating` call).  It bounds
     an existing line's flow column and angle difference, and gates a
-    candidate's flow by its build binary.  Every big-M constant is logged
-    in the model metadata for post-solve auditing.
+    candidate's flow by its build binary.  Parallel lines (a *corridor*:
+    the lines between one pair of buses) share one angle difference and
+    one cosine side, bounded by the tightest member.  Every big-M constant
+    is logged in the model metadata for post-solve auditing.
 
 Solutions come back through :func:`extract_plan`, which refuses fractional
 binaries, recomputes the objective from case data, and reports big-M
@@ -44,7 +46,8 @@ import numpy as np
 
 from .errors import ExtractionError, ModelBuildError
 from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR
-from .linearize import TrigSegments, gadget_switched_dc_flow, trig_segments
+from .linearize import (CosSelection, TrigSegments, gadget_switched_dc_flow,
+                        trig_segments)
 from .network import CaseSystem, LineSpec, validate_case
 from .thermal import (WeatherRecord, heat_balance_breakdown,
                       line_convection, radiation_log_fit)
@@ -100,7 +103,13 @@ class LineRating:
 @dataclass
 class VarMap:
     """Variable ids of the build decisions, dispatch, flows, angles and
-    cosine sides, and the thermal rating of each line and period."""
+    cosine sides, and the thermal rating of each line and period.
+
+    ``cos_side`` has one entry per corridor and period (see
+    :func:`_build_thermal_flows`), keyed ``(from_bus, to_bus, period)`` in
+    the direction of the corridor's angle difference: the side is 1 when
+    ``angle[from_bus] >= angle[to_bus]``.
+    """
 
     model: ModelIR
     mode: str
@@ -109,7 +118,7 @@ class VarMap:
     dispatch: dict[tuple[str, str], int] = field(default_factory=dict)
     flow: dict[tuple[str, str], int] = field(default_factory=dict)
     angle: dict[tuple[str, str], int] = field(default_factory=dict)
-    cos_side: dict[tuple[str, str], int] = field(default_factory=dict)
+    cos_side: dict[tuple[str, str, str], int] = field(default_factory=dict)
     ratings: dict[tuple[str, str], LineRating] = field(default_factory=dict)
 
 
@@ -305,32 +314,47 @@ def _build_dc_flows(case: CaseSystem, ir: ModelIR, vm: VarMap,
 def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                          vm: VarMap, trig: TrigSegments,
                          big_m_log: dict[str, float]):
-    """Per line and period: linearized AC flow under its thermal rating."""
+    """Per corridor and period: one angle difference and its cosine side;
+    per line and period: linearized AC flow under its thermal rating.
+
+    A corridor is the set of lines between one unordered pair of buses.
+    Its angle difference ``x`` runs from its first line's ``from_bus`` to
+    its ``to_bus``, and it takes that line's tag; a member that runs the
+    other way sees ``-x``, and both see ``|x| = 2p - x``.  ``x`` is bounded
+    by the intersection of the members' :func:`_angle_bounds`, which an
+    existing member's rating implies anyway, so sharing drops a column, a
+    row and a cosine-side binary per extra member without changing the
+    feasible set.
+    """
     phi_omega = params.phi * params.omega
     if phi_omega >= 1.0:
         raise ModelBuildError(
             f"uncertainty level times quantile is {phi_omega:.3f} >= 1; "
             "the convection caps would go negative")
     i_base = case.current_base
+    s_sin = trig.sin.slope
+    s_cos = abs(trig.cos_pos.slope)
 
     sq_gaps: dict[str, float] = {}
     rad_bands: dict[str, float] = {}
     ir.metadata["certificates"]["square_gap_w_per_m"] = sq_gaps
     ir.metadata["certificates"]["radiation_band_w_per_m"] = rad_bands
 
+    corridors: dict[frozenset[str], list[LineSpec]] = {}
+    for c in case.lines:
+        corridors.setdefault(frozenset((c.from_bus, c.to_bus)), []).append(c)
+
     for d in case.periods:
         for c in case.lines:
-            weather = d.weather[c.id]
+            rating = _line_rating(c, d.weather[c.id], params, trig, i_base)
+            vm.ratings[c.id, d.id] = rating
+            sq_gaps[f"{c.id},{d.id}"] = rating.sq_gap
+            rad_bands[f"{c.id},{d.id}"] = rating.band
+        shared: dict[frozenset[str], tuple[int, CosSelection]] = {}
+        for c in case.lines:
             u = vm.line_built[c.id]
-            key = (c.id, d.id)
             tag = f"{c.id},{d.id}"
-            a_s = vm.angle[c.from_bus, d.id]
-            a_r = vm.angle[c.to_bus, d.id]
-
-            rating = _line_rating(c, weather, params, trig, i_base)
-            vm.ratings[key] = rating
-            sq_gaps[tag] = rating.sq_gap
-            rad_bands[tag] = rating.band
+            rating = vm.ratings[c.id, d.id]
             if rating.amps is None:
                 # No temperature up to t_max balances even zero current: an
                 # existing line makes the model infeasible, a candidate
@@ -338,27 +362,36 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                 ir.add_row(f"unrated[{tag}]", {u: 1.0}, LE, 0.0)
             amps = rating.amps or 0.0
 
-            # Angle difference, within the trig window and, on an existing
-            # line, within what its rating allows.
-            x = ir.add_variable(f"adiff[{tag}]", CONTINUOUS,
-                                *_angle_bounds(c, trig, amps))
-            ir.add_row(f"adiff_def[{tag}]",
-                       {x: 1.0, a_s: -1.0, a_r: 1.0}, EQ, 0.0)
-            sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
-            vm.cos_side[key] = sel.side
+            # The corridor's angle difference, emitted with its first line:
+            # within the trig window and what each existing member's rating
+            # allows.
+            key = frozenset((c.from_bus, c.to_bus))
+            lead = corridors[key][0]
+            if c is lead:
+                x = ir.add_variable(f"adiff[{tag}]", CONTINUOUS,
+                                    *_corridor_bounds(corridors[key], d.id,
+                                                      vm, trig))
+                ir.add_row(f"adiff_def[{tag}]",
+                           {x: 1.0, vm.angle[c.from_bus, d.id]: -1.0,
+                            vm.angle[c.to_bus, d.id]: 1.0}, EQ, 0.0)
+                sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
+                vm.cos_side[c.from_bus, c.to_bus, d.id] = sel.side
+                shared[key] = x, sel
+            x, sel = shared[key]
+            sign = 1.0 if c.from_bus == lead.from_bus else -1.0
 
-            # Linearized AC flow G*(1 - cos) + beta*sin of the angle
-            # difference; with the cosine surrogate 1 + s*x - 2s*(l*x) the
-            # constant part cancels, leaving a pure-variable expression.
-            s_sin = trig.sin.slope
-            s_cos = abs(trig.cos_pos.slope)
-            ac_coeffs = {x: s_sin * c.susceptance - s_cos * c.conductance,
+            # Linearized AC flow G*(1 - cos) + beta*sin of the line's angle
+            # difference sign*x; with the cosine surrogate 1 - s*|x| and
+            # |x| = 2p - x the constant part cancels, leaving a
+            # pure-variable expression.
+            ac_coeffs = {x: sign * s_sin * c.susceptance
+                         - s_cos * c.conductance,
                          sel.side_times_x: 2.0 * s_cos * c.conductance}
 
             x_ac = rating.cut_range
             cap = x_ac if c.candidate else amps
             pf = ir.add_variable(f"flow[{tag}]", CONTINUOUS, -cap, cap)
-            vm.flow[key] = pf
+            vm.flow[c.id, d.id] = pf
             if c.candidate:
                 # pf = u * ac_flow via disjunction; u=0 leaves the side
                 # rows on x but makes the line electrically absent.
@@ -379,6 +412,22 @@ def _build_thermal_flows(case: CaseSystem, params: RobustParams, ir: ModelIR,
                 for var, coef in ac_coeffs.items():
                     row[var] = row.get(var, 0.0) - coef
                 ir.add_row(f"acflow[{tag}]", row, EQ, 0.0)
+
+
+def _corridor_bounds(lines: list[LineSpec], period: str, vm: VarMap,
+                     trig: TrigSegments) -> tuple[float, float]:
+    """Bounds on a corridor's angle difference in one period, rad: the
+    intersection of its lines' :func:`_angle_bounds`, in the direction of
+    its first line.  A line that runs the other way bounds ``-x``, so its
+    bounds are negated and swapped."""
+    lo, hi = -trig.half_range, trig.half_range
+    for c in lines:
+        c_lo, c_hi = _angle_bounds(c, trig, vm.ratings[c.id, period].amps
+                                   or 0.0)
+        if c.from_bus != lines[0].from_bus:
+            c_lo, c_hi = -c_hi, -c_lo
+        lo, hi = max(lo, c_lo), min(hi, c_hi)
+    return lo, hi
 
 
 def _angle_bounds(c: LineSpec, trig: TrigSegments,

@@ -21,6 +21,7 @@ deviation relative to the function's range ``max f - min f`` instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -184,20 +185,23 @@ class TrigSegments:
 
 
 # Published coefficients for the +/-0.6 rad window.  These are the anchored
-# minimax fits rounded to two figures; certificates are recomputed on every
-# call rather than trusted.
+# minimax fits rounded to two figures; certificates are computed from the
+# function rather than trusted.
 _COS_SLOPE = 0.24
 _COS_INTERCEPT = 1.0
 _SIN_SLOPE = 0.95
 
 
+@functools.lru_cache(maxsize=16)
 def trig_segments(half_range: float = TRIG_HALF_RANGE) -> TrigSegments:
     """Cosine pair and sine line for angle differences within the window.
 
     For the standard 0.6 rad half range the published slopes (cos +/-0.24
     with unit intercept, sin 0.95 through the origin) are pinned; any other
     window is fitted fresh with the intercept anchored so the cosine pieces
-    stay continuous at zero and the sine stays odd.
+    stay continuous at zero and the sine stays odd.  Each window is fitted
+    and certified once per process; the segments are frozen, so every
+    caller shares them.
     """
     if half_range <= 0:
         raise ValueError(f"half_range must be > 0, got {half_range}")

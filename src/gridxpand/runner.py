@@ -132,8 +132,11 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
     Solves the rated DC model at ``config.mip_gap`` within ``budget``
     seconds as a proof solve, as in :func:`run_plan`.  The start
     sets the thermal model's ``build[*]``/``unit[*]`` binaries to that plan
-    and each ``trig[l,d].cos_side`` to the sign of the plan's angle
-    difference ``angle[from,d] - angle[to,d]``.
+    and each corridor's one cosine side (``vm.cos_side[from, to, d]``) to
+    the sign of the plan's angle difference ``angle[from,d] - angle[to,d]``
+    in the corridor's own direction.  A line that runs the other way shares
+    that side, so setting it per line would give it the opposite value and
+    HiGHS would drop the start.
     """
     if any(vm.ratings[c.id, d.id].amps is None
            for c in case.lines if not c.candidate for d in case.periods):
@@ -149,11 +152,9 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
                             (vm.unit_built, dc_vm.unit_built)):
         for key, idx in thermal.items():
             start[idx] = float(round(dc.values[dc_ids[key]]))
-    for c in case.lines:
-        for d in case.periods:
-            diff = (dc.values[dc_vm.angle[c.from_bus, d.id]]
-                    - dc.values[dc_vm.angle[c.to_bus, d.id]])
-            start[vm.cos_side[c.id, d.id]] = 1.0 if diff >= 0.0 else 0.0
+    for (a, b, d), side in vm.cos_side.items():
+        diff = dc.values[dc_vm.angle[a, d]] - dc.values[dc_vm.angle[b, d]]
+        start[side] = 1.0 if diff >= 0.0 else 0.0
     return start
 
 

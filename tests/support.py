@@ -9,9 +9,10 @@ rating probe only pushes up: the rating is the flow's one bound from
 above.
 
 :func:`heat_balance_lp` keeps the per-line heat-balance rows the builder
-used to emit, as an LP oracle for the build-time rating, and
-:func:`window_cos_selection` keeps its earlier cosine side rows, as a
-reference model for the optimum.
+used to emit, as an LP oracle for the build-time rating;
+:func:`window_cos_selection` keeps its earlier cosine side rows and
+:func:`per_line_thermal_flows` its angle difference and cosine side per
+line instead of per corridor, as reference models for the optimum.
 """
 
 from __future__ import annotations
@@ -235,6 +236,70 @@ def reverse_rated_instance(rng: np.random.Generator):
     return case, params, mode
 
 
+CORRIDOR_KINDS = ("parallel", "reversed", "two candidates")
+
+
+def corridor_instance(rng: np.random.Generator, kind: str):
+    """A thermal draw of :func:`random_instance` whose lines share a
+    corridor, of one of :data:`CORRIDOR_KINDS`.
+
+    ``parallel`` keeps the two buses and the existing line ``E0`` (bus 1 to
+    bus 2) and adds a candidate ``L0`` along it; ``reversed`` adds ``L0``
+    from bus 2 to bus 1.  ``two candidates`` adds bus 3, fed by ``E1`` from
+    bus 2 and, in opposite directions, by candidates ``L0`` and ``L1`` from
+    bus 1.  The cheap existing unit sits at bus 1 or at the last bus, and
+    70-95% of the load at the other end, so flow runs either way along the
+    corridor.  Every line's resistance is scaled 1-40x, so the existing
+    lines' ratings, and with them the corridor's angle bounds, often bind
+    and a candidate line is worth building.
+    """
+    mode = None
+    while mode != "dtlr_robust":
+        case, params, mode = random_instance(rng)
+    base = case.line("E0")
+    n_buses = 3 if kind == "two candidates" else 2
+    bus_ids = [str(k + 1) for k in range(n_buses)]
+    source, sink = ((bus_ids[0], bus_ids[-1]) if rng.random() < 0.5
+                    else (bus_ids[-1], bus_ids[0]))
+    share = float(rng.uniform(0.7, 0.95))
+    weights = {b: (1.0 - share) / (n_buses - 1) for b in bus_ids}
+    weights[sink] = share
+    buses = tuple(dataclasses.replace(case.buses[0], id=b,
+                                      load_weight=weights[b])
+                  for b in bus_ids)
+
+    def line(line_id, a, b, candidate):
+        return dataclasses.replace(
+            base, id=line_id, from_bus=a, to_bus=b, candidate=candidate,
+            install_cost=float(rng.uniform(2e5, 9e5)) if candidate else 0.0,
+            susceptance=float(rng.uniform(2.0, 8.0)),
+            conductance=float(rng.uniform(0.2, 1.5)),
+            resistance_at_tmax=float(rng.uniform(1.0, 4.0)
+                                     * rng.uniform(1.0, 40.0)))
+
+    lines = [line("E0", "1", "2", False)]
+    if kind == "parallel":
+        lines.append(line("L0", "1", "2", True))
+    elif kind == "reversed":
+        lines.append(line("L0", "2", "1", True))
+    else:
+        lines += [line("E1", "2", "3", False), line("L0", "1", "3", True),
+                  line("L1", "3", "1", True)]
+    peak = case.peak_demand
+    gens = (GeneratorSpec("EG", source, False, 0.0,
+                          float(rng.uniform(5, 20)), 1.5 * peak),
+            GeneratorSpec("U0", sink, True, float(rng.uniform(3e5, 1.2e6)),
+                          float(rng.uniform(40, 80)),
+                          float(rng.uniform(0.3, 1.0)) * peak))
+    weather = case.periods[0].weather["E0"]
+    periods = tuple(dataclasses.replace(d, weather={c.id: weather
+                                                    for c in lines})
+                    for d in case.periods)
+    case = dataclasses.replace(case, buses=buses, lines=tuple(lines),
+                               generators=gens, periods=periods)
+    return case, params, mode
+
+
 # ---------------------------------------------------------------------------
 # Gadget probes
 
@@ -335,8 +400,8 @@ def scan_governing_convection(rng: np.random.Generator, n: int) -> list[str]:
         base.generators[1]))
     weather = DEFAULT_WEATHER
     t_env = weather.ambient_temp
-    pins = {"build[L]": 0.0, "unit[U1]": 1.0,
-            "trig[E,p1].cos_side": 1.0, "trig[L,p1].cos_side": 1.0}
+    # L runs along E, so the two share E's cosine side.
+    pins = {"build[L]": 0.0, "unit[U1]": 1.0, "trig[E,p1].cos_side": 1.0}
     bad: list[str] = []
     for k in range(n):
         k1 = float(rng.uniform(0.5, 5.0))
@@ -471,6 +536,85 @@ def build_window_form(case: CaseSystem, params: RobustParams):
     with mock.patch.object(TrigSegments, "attach_cos_selection",
                            window_cos_selection):
         return build_igtep(case, params, "dtlr_robust")
+
+
+def per_line_thermal_flows(case: CaseSystem, params: RobustParams,
+                           ir: ModelIR, vm: builder.VarMap,
+                           trig: TrigSegments, big_m_log: dict[str, float]):
+    """The thermal flow rows the builder emitted before corridors: an angle
+    difference ``adiff[l,d]`` and a cosine side ``trig[l,d]`` for every
+    line and period, the angle bounded by that line's own
+    :func:`~gridxpand.builder._angle_bounds`.  Patched over
+    ``builder._build_thermal_flows``, it rebuilds the per-line model as a
+    reference for the optimum; it records no cosine side in ``vm``, so it
+    is not meant to be seeded."""
+    s_sin = trig.sin.slope
+    s_cos = abs(trig.cos_pos.slope)
+    sq_gaps = ir.metadata["certificates"]["square_gap_w_per_m"] = {}
+    rad_bands = ir.metadata["certificates"]["radiation_band_w_per_m"] = {}
+    for d in case.periods:
+        for c in case.lines:
+            u = vm.line_built[c.id]
+            tag = f"{c.id},{d.id}"
+            rating = builder._line_rating(c, d.weather[c.id], params, trig,
+                                          case.current_base)
+            vm.ratings[c.id, d.id] = rating
+            sq_gaps[tag] = rating.sq_gap
+            rad_bands[tag] = rating.band
+            if rating.amps is None:
+                ir.add_row(f"unrated[{tag}]", {u: 1.0}, LE, 0.0)
+            amps = rating.amps or 0.0
+            x = ir.add_variable(f"adiff[{tag}]", CONTINUOUS,
+                                *builder._angle_bounds(c, trig, amps))
+            ir.add_row(f"adiff_def[{tag}]",
+                       {x: 1.0, vm.angle[c.from_bus, d.id]: -1.0,
+                        vm.angle[c.to_bus, d.id]: 1.0}, EQ, 0.0)
+            sel = trig.attach_cos_selection(ir, x, f"trig[{tag}]")
+            # The linearized AC flow, negated: every row below reads pf - ac.
+            neg_ac = {x: s_cos * c.conductance - s_sin * c.susceptance,
+                      sel.side_times_x: -2.0 * s_cos * c.conductance}
+            x_ac = rating.cut_range
+            cap = x_ac if c.candidate else amps
+            pf = ir.add_variable(f"flow[{tag}]", CONTINUOUS, -cap, cap)
+            vm.flow[c.id, d.id] = pf
+            if c.candidate:
+                ir.add_row(f"acflow_hi[{tag}]", {pf: 1.0, u: x_ac, **neg_ac},
+                           LE, x_ac)
+                ir.add_row(f"acflow_lo[{tag}]", {pf: 1.0, u: -x_ac, **neg_ac},
+                           GE, -x_ac)
+                ir.add_row(f"accap_hi[{tag}]", {pf: 1.0, u: -amps}, LE, 0.0)
+                ir.add_row(f"accap_lo[{tag}]", {pf: 1.0, u: amps}, GE, 0.0)
+                big_m_log[f"acflow[{tag}].relax"] = x_ac
+            else:
+                ir.add_row(f"acflow[{tag}]", {pf: 1.0, **neg_ac}, EQ, 0.0)
+
+
+def build_per_line_form(case: CaseSystem, params: RobustParams, *,
+                        window: bool = False):
+    """``build_igtep(case, params, "dtlr_robust")`` with the per-line rows
+    of :func:`per_line_thermal_flows` in place of the corridors and, with
+    ``window``, the window rows of :func:`window_cos_selection` in place
+    of the hull: the earlier model."""
+    with mock.patch.object(builder, "_build_thermal_flows",
+                           per_line_thermal_flows):
+        if window:
+            return build_window_form(case, params)
+        return build_igtep(case, params, "dtlr_robust")
+
+
+def corridor_count(ir: ModelIR) -> int:
+    """Angle-difference columns of a thermal model: its corridor-periods."""
+    return sum(v.name.startswith("adiff[") for v in ir.variables)
+
+
+def corridor_direction(ir: ModelIR, tag: str) -> tuple[str, str]:
+    """Names of the angle columns ``(from, to)`` that ``adiff[tag]`` runs
+    between, read from its row ``x - angle[from] + angle[to] = 0``."""
+    x = ir.variable(f"adiff[{tag}]").index
+    row = next(r for r in ir.rows if r.name == f"adiff_def[{tag}]")
+    a_from = next(v for v, a in row.coeffs.items() if a == -1.0)
+    a_to = next(v for v, a in row.coeffs.items() if a == 1.0 and v != x)
+    return ir.variables[a_from].name, ir.variables[a_to].name
 
 
 def name_tag_counts(ir: ModelIR) -> tuple[Counter, Counter]:

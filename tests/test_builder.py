@@ -19,6 +19,7 @@ from gridxpand.ir import CONTINUOUS, EQ, GE, LE
 from gridxpand.solve import simplex_lp
 from support import (PROBE_TOL, STANDARD_ROBUST, UNRATED, angle_window_span,
                      assert_row_equivalent, build_window_form,
+                     corridor_count,
                      heat_balance_lp, minmax_output, name_tag_counts,
                      random_instance, scan_governing_convection, toy_case,
                      toy_dc_det_objective, toy_robust_objective, with_line)
@@ -106,7 +107,8 @@ class TestModelShape:
         case = toy_case()
         for mode, params, expected in (("dc_det", None, 2),
                                        ("dc_robust", STANDARD_ROBUST, 2),
-                                       ("dtlr_robust", STANDARD_ROBUST, 4)):
+                                       # L runs along E: one cosine side
+                                       ("dtlr_robust", STANDARD_ROBUST, 3)):
             ir, _ = build_igtep(case, params, mode)
             assert len(ir.free_binaries()) == expected, mode
 
@@ -128,19 +130,20 @@ class TestModelShape:
             assert unbounded == [], ir.metadata["mode"]
 
     @pytest.mark.parametrize("case_name, shape", [
-        ("six_bus", (462, 600, 100)),
-        ("rts24", (1392, 1500, 256)),
+        ("six_bus", (387, 500, 75)),
+        ("rts24", (1242, 1300, 206)),
     ])
     def test_shipped_thermal_model_shape(self, request, case_name, shape):
         """Columns, rows and free binaries of the shipped thermal models.
 
-        Per line and period: the angle difference, its cosine side and
-        positive part, and the flow, with the side's three hull rows.  The
-        heat balance is a build-time rating, so no temperature, convection,
-        radiation or current column and no square cut is left; the rating
-        bounds an existing line's flow column and sits in a candidate's
-        ``accap`` rows.  No window or product row of the earlier side
-        selection remains.
+        Per corridor (the lines between one pair of buses) and period: the
+        angle difference, its cosine side and positive part, with the
+        angle's defining row and the side's three hull rows.  Per line and
+        period: the flow.  The heat balance is a build-time rating, so no
+        temperature, convection, radiation or current column and no square
+        cut is left; the rating bounds an existing line's flow column and
+        sits in a candidate's ``accap`` rows.  No window or product row of
+        the earlier side selection remains.
         """
         case = request.getfixturevalue(case_name)
         params = request.getfixturevalue(f"{case_name}_scenario").robust
@@ -149,14 +152,15 @@ class TestModelShape:
                 len(ir.free_binaries())) == shape
         columns, rows = name_tag_counts(ir)
         n_lp = len(case.lines) * len(case.periods)
+        n_cp = len({frozenset((c.from_bus, c.to_bus))
+                    for c in case.lines}) * len(case.periods)
         n_cand = sum(c.candidate for c in case.lines) * len(case.periods)
-        per_line_period = {"adiff": 1, "trig.cos_side": 1, "trig.cos_pos": 1,
-                           "flow": 1}
-        for name, count in per_line_period.items():
-            assert columns[name] == count * n_lp, name
+        for name in ("adiff", "trig.cos_side", "trig.cos_pos"):
+            assert columns[name] == n_cp, name
+        assert columns["flow"] == n_lp
         for name in ("adiff_def", "trig.cos_pos_hi", "trig.cos_pos_lo",
                      "trig.cos_neg_lo"):
-            assert rows[name] == n_lp, name
+            assert rows[name] == n_cp, name
         assert rows["acflow"] == n_lp - n_cand
         for name in ("acflow_hi", "acflow_lo", "accap_hi", "accap_lo"):
             assert rows[name] == n_cand, name
@@ -165,6 +169,36 @@ class TestModelShape:
             assert not [t for t in counts
                         if t.split(".")[0] in gone or t.endswith(".sq_cut")
                         or "cos_window" in t or ".prod" in t]
+
+    @pytest.mark.parametrize("case_name, n_sides", [("six_bus", 55),
+                                                     ("rts24", 170)])
+    def test_one_cosine_side_per_corridor(self, request, case_name,
+                                          n_sides):
+        """One cosine-side binary per corridor and period, named after the
+        corridor's first line in case order and recorded in ``VarMap``
+        under that line's buses; every line's flow reads its corridor's
+        angle difference and positive part."""
+        case = request.getfixturevalue(case_name)
+        params = request.getfixturevalue(f"{case_name}_scenario").robust
+        ir, vm = build_igtep(case, params, "dtlr_robust")
+        sides = [v for v in ir.variables if v.name.endswith(".cos_side")]
+        assert len(sides) == len(vm.cos_side) == n_sides
+        first = {}
+        for c in case.lines:
+            first.setdefault(frozenset((c.from_bus, c.to_bus)), c)
+        assert n_sides == len(first) * len(case.periods)
+        for d in case.periods:
+            for c in case.lines:
+                lead = first[frozenset((c.from_bus, c.to_bus))]
+                tag = f"{lead.id},{d.id}"
+                side = ir.variable(f"trig[{tag}].cos_side").index
+                assert vm.cos_side[lead.from_bus, lead.to_bus, d.id] == side
+                pos = ir.variable(f"trig[{tag}].cos_pos").index
+                x = ir.variable(f"adiff[{tag}]").index
+                name = ("acflow_hi" if c.candidate else "acflow")
+                row = next(r for r in ir.rows
+                           if r.name == f"{name}[{c.id},{d.id}]")
+                assert x in row.coeffs and pos in row.coeffs, (c.id, d.id)
 
     def test_metadata_records_mode_and_big_m(self):
         ir, _ = build_igtep(toy_case(), None, "dc_det")
@@ -198,8 +232,10 @@ class TestModelShape:
                     assert bands[f"{c.id},{d.id}"] == fit.band
 
     def test_angle_diff_window(self):
-        """An existing line's angle difference is bounded by its rating, a
-        candidate's by the trig window."""
+        """A corridor's angle difference is bounded by its existing lines'
+        ratings; a candidate leaves the trig window, so a corridor of
+        candidates keeps it.  In the toy, candidate L runs along E and
+        shares E's angle difference."""
         case = toy_case()
         ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
         amps = vm.ratings["E", "p1"].amps
@@ -210,8 +246,35 @@ class TestModelShape:
         assert x.lower == -min(0.6, amps / abs(0.95 * line.susceptance
                                                - 0.24 * line.conductance))
         assert -0.6 < x.lower < 0.0 < x.upper < 0.6
-        x = ir.variable("adiff[L,p1]")
+        assert not any(v.name == "adiff[L,p1]" for v in ir.variables)
+        ir, _ = build_igtep(with_line(case, "E", candidate=True,
+                                      install_cost=1e5),
+                            STANDARD_ROBUST, "dtlr_robust")
+        x = ir.variable("adiff[E,p1]")
         assert (x.lower, x.upper) == (-0.6, 0.6)
+
+    def test_reversed_member_takes_the_mirrored_bounds(self):
+        """A member that runs against its corridor bounds the shared angle
+        difference by its own bounds negated and swapped: with L an
+        existing line from bus 2 to bus 1 beside E, the corridor's bounds
+        are the intersection of E's and of L's mirrored.  L's resistance is
+        high, so its asymmetric bounds are the tighter ones."""
+        case = toy_case()
+        case = with_line(case, "L", candidate=False, install_cost=0.0,
+                         from_bus="2", to_bus="1", conductance=3.0,
+                         resistance_at_tmax=40.0)
+        ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        x = ir.variable("adiff[E,p1]")
+        bounds = {}
+        for c in case.lines:
+            amps = vm.ratings[c.id, "p1"].amps
+            slope_up = 0.95 * c.susceptance + 0.24 * c.conductance
+            slope_down = abs(0.95 * c.susceptance - 0.24 * c.conductance)
+            bounds[c.id] = (-min(0.6, amps / slope_down),
+                            min(0.6, amps / slope_up))
+        (e_lo, e_hi), (l_lo, l_hi) = bounds["E"], bounds["L"]
+        assert (x.lower, x.upper) == (max(e_lo, -l_hi), min(e_hi, -l_lo))
+        assert (x.lower, x.upper) == (-l_hi, -l_lo) != (l_lo, l_hi)
 
     def test_weather_optional_outside_thermal_mode(self):
         ir, _ = build_igtep(toy_case(with_weather=False), None, "dc_det")
@@ -451,7 +514,9 @@ class TestThermalRating:
     def test_angle_bounds_are_the_lp_extremes(self):
         """An existing line's angle bounds are the max and min of ``x`` in
         the trig window under ``|s_sin*B*x + s_cos*G*|x|| <= amps``, solved
-        as one LP per side."""
+        as one LP per side.  Candidate L shares E's corridor and leaves the
+        window, so the corridor's angle difference ``adiff[E,p1]`` carries
+        exactly E's bounds."""
         rng = np.random.default_rng(4242)
         base = toy_case()
         binding = steep_neg = 0
@@ -562,7 +627,8 @@ class TestCosSideHull:
             for case in (drawn, stressed):
                 ir, _ = build_igtep(case, params, mode)
                 window_ir, _ = build_window_form(case, params)
-                assert window_ir.num_rows == ir.num_rows + 3 * len(case.lines)
+                assert window_ir.num_rows == (ir.num_rows
+                                              + 3 * corridor_count(ir))
                 got = external_solve(ir, config)
                 want = external_solve(window_ir, config)
                 assert got.status == want.status, n_thermal

@@ -9,6 +9,7 @@ reach.  Gadget exactness is probed through the enumeration oracle — see
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +147,22 @@ class TestTrigSegments:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             trig_segments(half_range=0.0)
+
+    def test_each_window_is_certified_once(self):
+        """Repeated calls share one frozen result per window, equal to a
+        fresh fit and certification; a bad window raises on every call."""
+        assert trig_segments() is trig_segments()
+        narrow = trig_segments(half_range=0.4)
+        assert trig_segments(half_range=0.4) is narrow
+        assert trig_segments.__wrapped__(0.4) == narrow
+        assert trig_segments.__wrapped__() == trig_segments()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            narrow.half_range = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            narrow.sin.slope = 1.0
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                trig_segments(half_range=-1.0)
 
     def test_cos_selection_reproduces_surrogate(self):
         """The side rows evaluate the cosine surrogate through the positive

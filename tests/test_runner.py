@@ -17,9 +17,11 @@ from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
 from gridxpand.ir import GE
-from support import (STANDARD_ROBUST, UNRATED, build_window_form,
-                     random_instance, reverse_rated_instance, toy_case,
-                     toy_dc_det_objective, toy_robust_objective, with_line)
+from support import (CORRIDOR_KINDS, STANDARD_ROBUST, UNRATED,
+                     build_per_line_form, corridor_count, corridor_direction,
+                     corridor_instance, random_instance,
+                     reverse_rated_instance, toy_case, toy_dc_det_objective,
+                     toy_robust_objective, with_line)
 
 FAST = SolveConfig(time_limit=60.0)
 
@@ -164,16 +166,17 @@ class TestSeededThermalRuns:
     def test_reverse_rated_lines_match_the_oracle(self):
         """Seeded ``run_plan`` against the oracle on draws where an existing
         line's rating binds against its flow direction.  The oracle solves
-        the window form, whose angle differences span the whole trig window,
-        so a rating-implied angle bound that cuts off feasible flow shows
-        as a worse plan."""
+        the earlier per-line window form, whose angle differences span the
+        whole trig window, one per line, so a rating-implied angle bound
+        that cuts off feasible flow, or a corridor's intersection of
+        bounds, shows as a worse plan."""
         rng = np.random.default_rng(2024)
         n_optimal = n_seeded = n_on_lower = 0
         for _ in range(16):
             case, params, mode = reverse_rated_instance(rng)
             plan = run_plan(case, params, mode, FAST)
             ir, _ = build_igtep(case, params, mode)
-            window_ir, _ = build_window_form(case, params)
+            window_ir, _ = build_per_line_form(case, params, window=True)
             ref = oracle_solve(window_ir, SolveConfig(backend="oracle",
                                                       time_limit=60.0))
             assert plan.status == ref.status
@@ -192,8 +195,10 @@ class TestSeededThermalRuns:
 
     def test_seed_pins_every_free_binary(self, monkeypatch):
         """The start passed to the full solve gives a 0/1 value to every
-        binary the thermal model leaves free, each cosine side the sign of
-        the rated DC model's angle difference."""
+        binary the thermal model leaves free, each corridor's one cosine
+        side the sign of the rated DC model's angle difference in the
+        corridor's direction.  The toy's L runs along E, so the two share
+        E's side."""
         calls = []
 
         def recording(name):
@@ -219,14 +224,13 @@ class TestSeededThermalRuns:
         assert set(start.values()) <= {0.0, 1.0}
         sides = {v.index for v in ir.variables
                  if v.name.endswith(".cos_side")}
-        assert len(sides) == len(case.lines) * len(case.periods)
+        assert len(sides) == corridor_count(ir) == len(case.periods)
         assert sides <= free
-        for c in case.lines:
-            for d in case.periods:
-                diff = (dc.value(dc_ir, f"angle[{c.from_bus},{d.id}]")
-                        - dc.value(dc_ir, f"angle[{c.to_bus},{d.id}]"))
-                idx = ir.variable(f"trig[{c.id},{d.id}].cos_side").index
-                assert start[idx] == (1.0 if diff >= 0.0 else 0.0)
+        for d in case.periods:
+            a_from, a_to = corridor_direction(ir, f"E,{d.id}")
+            diff = dc.value(dc_ir, a_from) - dc.value(dc_ir, a_to)
+            idx = ir.variable(f"trig[E,{d.id}].cos_side").index
+            assert start[idx] == (1.0 if diff >= 0.0 else 0.0)
 
     @pytest.mark.parametrize("edge", sorted(UNRATED))
     def test_unrated_existing_line_skips_the_seed(self, monkeypatch, edge):
@@ -297,6 +301,70 @@ class TestSeededThermalRuns:
         assert plan.audit["solver"]["seeded"] is True
         assert plan.added_lines == ()
         assert plan.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+class TestCorridors:
+    """Parallel lines share one angle difference and one cosine side; the
+    per-line model of ``support.per_line_thermal_flows`` is the
+    reference."""
+
+    @pytest.mark.parametrize("kind", CORRIDOR_KINDS)
+    def test_corridor_form_matches_the_per_line_form(self, monkeypatch,
+                                                     kind):
+        """On random draws of each corridor kind, a seeded ``run_plan``, a
+        cold ``external_solve`` and ``oracle_solve`` on the corridor form
+        match ``oracle_solve`` on the per-line form in status and
+        optimum.  The seed gives each shared cosine side one value: the
+        sign of the rated DC model's angle difference in the corridor's
+        own direction, read from the ``adiff_def`` row.  Enough optima
+        build the corridor's second member (which runs against the
+        corridor unless ``kind`` is ``parallel``) that a sign error on its
+        angle difference shows."""
+        calls = []
+        for name in ("external_solve", "solve"):
+            inner = getattr(runner_module, name)
+
+            def wrapper(ir, config, _inner=inner, **kwargs):
+                sol = _inner(ir, config, **kwargs)
+                calls.append((ir, kwargs.get("start"), sol))
+                return sol
+            monkeypatch.setattr(runner_module, name, wrapper)
+        oracle = SolveConfig(backend="oracle", time_limit=60.0)
+        second = "L1" if kind == "two candidates" else "L0"
+        rng = np.random.default_rng(1800 + CORRIDOR_KINDS.index(kind))
+        n_optimal = n_seeded = n_second = 0
+        for k in range(10):
+            case, params, mode = corridor_instance(rng, kind)
+            calls.clear()
+            plan = run_plan(case, params, mode, FAST)
+            ir, _ = build_igtep(case, params, mode)
+            cold = external_solve(ir, FAST)
+            own = oracle_solve(ir, oracle)
+            ref_ir, _ = build_per_line_form(case, params)
+            assert corridor_count(ref_ir) == len(case.lines) > \
+                corridor_count(ir)
+            ref = oracle_solve(ref_ir, oracle)
+            assert plan.status == cold.status == own.status == ref.status, k
+            if plan.audit["solver"]["seeded"]:
+                n_seeded += 1
+                (dc_ir, _, dc), (th_ir, start, _) = calls
+                sides = [v for v in th_ir.variables
+                         if v.name.endswith(".cos_side")]
+                assert len(sides) == corridor_count(th_ir)
+                for v in sides:
+                    tag = v.name[len("trig["):-len("].cos_side")]
+                    a_from, a_to = corridor_direction(th_ir, tag)
+                    diff = dc.value(dc_ir, a_from) - dc.value(dc_ir, a_to)
+                    assert start[v.index] == (1.0 if diff >= 0.0 else 0.0)
+            if ref.status != "optimal":
+                continue
+            n_optimal += 1
+            n_second += second in plan.added_lines
+            for objective in (plan.objective, cold.objective,
+                              own.objective):
+                assert abs(objective - ref.objective) <= \
+                    1e-6 * max(1.0, abs(ref.objective)), k
+        assert n_optimal >= 8 and n_seeded >= 8 and n_second >= 2
 
 
 class TestStaticSolves:
