@@ -1,32 +1,52 @@
 """Case and scenario file handling.
 
-A case file is one JSON document (``schema: "gridxpand/1"``) carrying the
-complete network description; field names match the dataclasses in
-:mod:`gridxpand.network` and :mod:`gridxpand.thermal`.  A scenario file is a
-lighter overlay: an optional robustness block ``{phi, mu, reliability}``
-plus per-period, per-line weather patches with the short keys
-``{ambient_k, wind_mps, solar_w_per_m, kr}``; ``"*"`` is accepted for the
-period or line position and expands to all of them, explicit ids winning
-over the wildcard.  Parse problems raise :class:`CaseFormatError` with a
-dotted location; structurally valid but inconsistent cases raise
+A case file is one JSON document (``schema: "gridxpand/1"``).  Its records
+are the dataclasses of :mod:`gridxpand.network` and :mod:`gridxpand.thermal`,
+one key per field, and the format is stated there only:
+
+* a field with a default may be left out;
+* a per-period forecast may be one number, the same in every period;
+* keys that name no field are ignored, so older files still load;
+* numbers must be finite: JSON's ``NaN`` and ``Infinity`` are rejected.
+
+Two parts have a shape of their own.  The ``system`` block carries the
+case's scalars, with ``s_base`` and ``v_base`` spelled ``s_base_mva`` and
+``v_base_kv``.  A period's ``weather`` maps line ids to records, and an
+entry without ``radiation_coeff`` takes its line conductor's.
+
+A scenario file is a lighter overlay: an optional ``robust`` block
+(:class:`~gridxpand.uncertainty.RobustParams`) plus per-period, per-line
+:class:`WeatherPatch` records.  ``"*"`` is accepted for the period or line
+position and expands to all of them, explicit ids winning over the
+wildcard.
+
+Parse problems raise :class:`CaseFormatError` with a dotted location;
+structurally valid but inconsistent cases raise
 :class:`CaseValidationError` listing every broken invariant.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CaseFormatError, CaseValidationError, UnknownEntityError
 from .network import (BusSpec, CaseSystem, GeneratorSpec, LineSpec, PeriodSpec,
                       validate_case)
-from .thermal import ConductorSpec, WeatherRecord
+from .thermal import WeatherRecord
 from .uncertainty import RobustParams
 
 SCHEMA = "gridxpand/1"
 WILDCARD = "*"
+# The system block's keys for the CaseSystem fields they do not spell as is.
+SYSTEM_KEYS = {"s_base": "s_base_mva", "v_base": "v_base_kv"}
+_OPTIONAL_NUMBER = float | None
+_PER_PERIOD = tuple[float, ...]
 
 
 def _require(obj: dict, key: str, where: str):
@@ -37,78 +57,99 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
-    if default is not None and key not in obj:
-        return default
-    value = _require(obj, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CaseFormatError(f"field {key!r} must be a number", where)
-    return float(value)
+def _number(value, name: str, where: str, entry: int | None = None) -> float:
+    """A finite number; ``entry`` is its index in a per-period list."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:    # False for NaN too
+        return float(value)
+    what = f"field {name!r}" if entry is None else f"entry {entry} of {name!r}"
+    rule = f"be finite, got {value}" if number else "be a number"
+    raise CaseFormatError(f"{what} must {rule}", where)
 
 
-def _text(obj: dict, key: str, where: str) -> str:
-    value = _require(obj, key, where)
-    if not isinstance(value, str) or not value:
-        raise CaseFormatError(f"field {key!r} must be a non-empty string", where)
-    return value
-
-
-def _flag(obj: dict, key: str, where: str) -> bool:
-    value = _require(obj, key, where)
-    if not isinstance(value, bool):
-        raise CaseFormatError(f"field {key!r} must be true or false", where)
-    return value
-
-
-def _forecast(obj: dict, key: str, where: str, n_periods: int) -> tuple[float, ...]:
+def _forecast(value, name: str, where: str, n_periods: int) -> tuple[float, ...]:
     """A per-period tuple; a scalar in the file means 'same every period'."""
-    value = _require(obj, key, where)
-    if isinstance(value, bool):
-        raise CaseFormatError(f"field {key!r} must be a number or list", where)
-    if isinstance(value, (int, float)):
-        return (float(value),) * n_periods
     if isinstance(value, list):
-        out = []
-        for k, entry in enumerate(value):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise CaseFormatError(f"entry {k} of {key!r} must be a number",
-                                      where)
-            out.append(float(entry))
-        return tuple(out)
-    raise CaseFormatError(f"field {key!r} must be a number or list", where)
+        return tuple(_number(entry, name, where, k)
+                     for k, entry in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CaseFormatError(f"field {name!r} must be a number or list", where)
+    return (_number(value, name, where),) * n_periods
 
 
-def _conductor(obj: dict, where: str) -> ConductorSpec:
+def _read(kind, value, name: str, where: str, n_periods: int):
+    """The file's ``value`` for field ``name`` of type ``kind``."""
+    if kind in (float, _OPTIONAL_NUMBER):    # None only by leaving the key out
+        return _number(value, name, where)
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise CaseFormatError(f"field {name!r} must be a non-empty string",
+                                  where)
+        return value
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise CaseFormatError(f"field {name!r} must be true or false", where)
+        return value
+    if kind == _PER_PERIOD:
+        return _forecast(value, name, where, n_periods)
+    return _record(kind, value, f"{where}.{name}", n_periods)
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
+    """``(name, file key, type, has a default)`` per field of record ``cls``."""
+    hints = typing.get_type_hints(cls)
+    keys = SYSTEM_KEYS if cls is CaseSystem else {}
+    return tuple((f.name, keys.get(f.name, f.name), hints[f.name],
+                  f.default is not dataclasses.MISSING
+                  or f.default_factory is not dataclasses.MISSING)
+                 for f in dataclasses.fields(cls) if f.init)
+
+
+def _record(cls, obj: dict, where: str, n_periods: int = 0, **given):
+    """A ``cls`` read from ``obj``, one key per field.
+
+    ``given`` fields are not read from ``obj``.  The record's own checks
+    fail at ``where``.
+    """
+    if not isinstance(obj, dict):
+        raise CaseFormatError("expected an object", where)
+    values = dict(given)
+    for name, key, kind, has_default in _fields(cls):
+        if key in obj and name not in given:
+            values[name] = _read(kind, obj[key], key, where, n_periods)
+        elif not (has_default or name in given):
+            raise CaseFormatError(f"missing required field {key!r}", where)
     try:
-        return ConductorSpec(
-            diameter=_number(obj, "diameter", where),
-            air_density=_number(obj, "air_density", where),
-            air_viscosity=_number(obj, "air_viscosity", where),
-            thermal_conductivity=_number(obj, "thermal_conductivity", where),
-            wind_angle_coeff=_number(obj, "wind_angle_coeff", where),
-            emissivity=_number(obj, "emissivity", where),
-            radiation_coeff=_number(obj, "radiation_coeff", where),
-            resistance_ref=_number(obj, "resistance_ref", where),
-            temperature_ref=_number(obj, "temperature_ref", where),
-            thermal_resistivity=_number(obj, "thermal_resistivity", where),
-            elevation=_number(obj, "elevation", where, default=0.0),
-            heat_capacity=_number(obj, "heat_capacity", where, default=0.0),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise CaseFormatError(str(exc), where) from exc
 
 
-def _weather(obj: dict, where: str, fallback_kr: float) -> WeatherRecord:
-    try:
-        return WeatherRecord(
-            ambient_temp=_number(obj, "ambient_temp", where),
-            wind_speed=_number(obj, "wind_speed", where),
-            solar_gain=_number(obj, "solar_gain", where),
-            radiation_coeff=_number(obj, "radiation_coeff", where,
-                                    default=fallback_kr),
-        )
-    except ValueError as exc:
-        raise CaseFormatError(str(exc), where) from exc
+def _records(cls, doc: dict, key: str, where: str, n_periods: int = 0) -> tuple:
+    raw = _require(doc, key, where)
+    if not isinstance(raw, list):
+        raise CaseFormatError(f"field {key!r} must be a list", where)
+    return tuple(_record(cls, item, f"{where}.{key}[{k}]", n_periods)
+                 for k, item in enumerate(raw))
+
+
+def _period(raw, where: str, line_kr: dict[str, float]) -> PeriodSpec:
+    """A period whose weather map names known lines only; an entry
+    without ``radiation_coeff`` takes its line's, ``line_kr``."""
+    raw_weather = raw.get("weather", {}) if isinstance(raw, dict) else {}
+    if not isinstance(raw_weather, dict):
+        raise CaseFormatError("field 'weather' must be an object", where)
+    weather = {}
+    for line_id, entry in raw_weather.items():
+        entry_where = f"{where}.weather[{line_id!r}]"
+        if line_id not in line_kr:
+            raise CaseFormatError(f"weather names unknown line "
+                                  f"{line_id!r}", entry_where)
+        if isinstance(entry, dict):
+            entry = {"radiation_coeff": line_kr[line_id], **entry}
+        weather[line_id] = _record(WeatherRecord, entry, entry_where)
+    return _record(PeriodSpec, raw, where, weather=weather)
 
 
 def parse_case(doc: dict, source: str = "case") -> CaseSystem:
@@ -118,92 +159,17 @@ def parse_case(doc: dict, source: str = "case") -> CaseSystem:
         raise CaseFormatError(f"unsupported schema {schema!r}, "
                               f"expected {SCHEMA!r}", f"{source}.schema")
     system = _require(doc, "system", source)
-    peak = _number(system, "peak_demand", f"{source}.system")
-    s_base = _number(system, "s_base_mva", f"{source}.system")
-    v_base = _number(system, "v_base_kv", f"{source}.system")
-
     raw_periods = _require(doc, "periods", source)
     if not isinstance(raw_periods, list):
         raise CaseFormatError("field 'periods' must be a list", source)
-    n_periods = len(raw_periods)
-
-    buses = []
-    raw_buses = _require(doc, "buses", source)
-    if not isinstance(raw_buses, list):
-        raise CaseFormatError("field 'buses' must be a list", source)
-    for k, raw in enumerate(raw_buses):
-        where = f"{source}.buses[{k}]"
-        buses.append(BusSpec(
-            id=_text(raw, "id", where),
-            load_weight=_number(raw, "load_weight", where),
-            ev_forecast=_forecast(raw, "ev_forecast", where, n_periods),
-            wind_forecast=_forecast(raw, "wind_forecast", where, n_periods),
-            pv_forecast=_forecast(raw, "pv_forecast", where, n_periods),
-        ))
-
-    lines = []
-    raw_lines = _require(doc, "lines", source)
-    if not isinstance(raw_lines, list):
-        raise CaseFormatError("field 'lines' must be a list", source)
-    for k, raw in enumerate(raw_lines):
-        where = f"{source}.lines[{k}]"
-        lines.append(LineSpec(
-            id=_text(raw, "id", where),
-            from_bus=_text(raw, "from_bus", where),
-            to_bus=_text(raw, "to_bus", where),
-            candidate=_flag(raw, "candidate", where),
-            install_cost=_number(raw, "install_cost", where),
-            susceptance=_number(raw, "susceptance", where),
-            conductance=_number(raw, "conductance", where),
-            resistance_at_tmax=_number(raw, "resistance_at_tmax", where),
-            length=_number(raw, "length", where),
-            t_max=_number(raw, "t_max", where),
-            flow_limit=_number(raw, "flow_limit", where),
-            conductor=_conductor(_require(raw, "conductor", where),
-                                 f"{where}.conductor"),
-        ))
-    line_by_id = {c.id: c for c in lines}
-
-    generators = []
-    raw_gens = _require(doc, "generators", source)
-    if not isinstance(raw_gens, list):
-        raise CaseFormatError("field 'generators' must be a list", source)
-    for k, raw in enumerate(raw_gens):
-        where = f"{source}.generators[{k}]"
-        generators.append(GeneratorSpec(
-            id=_text(raw, "id", where),
-            bus=_text(raw, "bus", where),
-            candidate=_flag(raw, "candidate", where),
-            install_cost=_number(raw, "install_cost", where),
-            op_cost=_number(raw, "op_cost", where),
-            p_max=_number(raw, "p_max", where),
-        ))
-
-    periods = []
-    for k, raw in enumerate(raw_periods):
-        where = f"{source}.periods[{k}]"
-        raw_weather = raw.get("weather", {}) if isinstance(raw, dict) else {}
-        if not isinstance(raw_weather, dict):
-            raise CaseFormatError("field 'weather' must be an object", where)
-        weather = {}
-        for line_id, entry in raw_weather.items():
-            entry_where = f"{where}.weather[{line_id!r}]"
-            if line_id not in line_by_id:
-                raise CaseFormatError(f"weather names unknown line "
-                                      f"{line_id!r}", entry_where)
-            weather[line_id] = _weather(
-                entry, entry_where,
-                line_by_id[line_id].conductor.radiation_coeff)
-        periods.append(PeriodSpec(
-            id=_text(raw, "id", where),
-            duration=_number(raw, "duration", where),
-            load_factor=_number(raw, "load_factor", where),
-            weather=weather,
-        ))
-
-    case = CaseSystem(buses=tuple(buses), lines=tuple(lines),
-                      generators=tuple(generators), periods=tuple(periods),
-                      peak_demand=peak, s_base=s_base, v_base=v_base)
+    buses = _records(BusSpec, doc, "buses", source, len(raw_periods))
+    lines = _records(LineSpec, doc, "lines", source)
+    generators = _records(GeneratorSpec, doc, "generators", source)
+    line_kr = {c.id: c.conductor.radiation_coeff for c in lines}
+    periods = tuple(_period(raw, f"{source}.periods[{k}]", line_kr)
+                    for k, raw in enumerate(raw_periods))
+    case = _record(CaseSystem, system, f"{source}.system", buses=buses,
+                   lines=lines, generators=generators, periods=periods)
     violations = validate_case(case)
     if violations:
         raise CaseValidationError(tuple(violations))
@@ -230,52 +196,21 @@ def load_case(path: str | Path) -> CaseSystem:
     return parse_case(_read_json(path, "case"), source=path.name)
 
 
+def _lists(value):
+    """``value`` with its tuples as lists, the way JSON reads them back."""
+    if isinstance(value, dict):
+        return {key: _lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_lists(item) for item in value]
+    return value
+
+
 def case_to_document(case: CaseSystem) -> dict:
     """Plain-data rendering of a case, inverse of :func:`parse_case`."""
-    return {
-        "schema": SCHEMA,
-        "system": {
-            "peak_demand": case.peak_demand,
-            "s_base_mva": case.s_base,
-            "v_base_kv": case.v_base,
-        },
-        "buses": [{
-            "id": b.id,
-            "load_weight": b.load_weight,
-            "ev_forecast": list(b.ev_forecast),
-            "wind_forecast": list(b.wind_forecast),
-            "pv_forecast": list(b.pv_forecast),
-        } for b in case.buses],
-        "lines": [{
-            "id": c.id,
-            "from_bus": c.from_bus,
-            "to_bus": c.to_bus,
-            "candidate": c.candidate,
-            "install_cost": c.install_cost,
-            "susceptance": c.susceptance,
-            "conductance": c.conductance,
-            "resistance_at_tmax": c.resistance_at_tmax,
-            "length": c.length,
-            "t_max": c.t_max,
-            "flow_limit": c.flow_limit,
-            "conductor": dataclasses.asdict(c.conductor),
-        } for c in case.lines],
-        "generators": [{
-            "id": g.id,
-            "bus": g.bus,
-            "candidate": g.candidate,
-            "install_cost": g.install_cost,
-            "op_cost": g.op_cost,
-            "p_max": g.p_max,
-        } for g in case.generators],
-        "periods": [{
-            "id": d.id,
-            "duration": d.duration,
-            "load_factor": d.load_factor,
-            "weather": {line_id: dataclasses.asdict(w)
-                        for line_id, w in sorted(d.weather.items())},
-        } for d in case.periods],
-    }
+    doc = _lists(dataclasses.asdict(case))
+    system = {key: doc.pop(name)
+              for name, key, kind, _ in _fields(CaseSystem) if kind is float}
+    return {"schema": SCHEMA, "system": system, **doc}
 
 
 def save_case(case: CaseSystem, path: str | Path) -> None:
@@ -289,12 +224,20 @@ def save_case(case: CaseSystem, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class WeatherPatch:
-    """One scenario weather entry; ``kr`` may be absent (conductor default)."""
+    """One scenario weather entry; ``kr`` may be absent (conductor default).
+
+    Checked as the :class:`WeatherRecord` it becomes, an absent ``kr``
+    standing in as 1.0.
+    """
 
     ambient_k: float
     wind_mps: float
     solar_w_per_m: float
-    kr: float | None
+    kr: float | None = None
+
+    def __post_init__(self):
+        WeatherRecord(self.ambient_k, self.wind_mps, self.solar_w_per_m,
+                      1.0 if self.kr is None else self.kr)
 
 
 @dataclass(frozen=True)
@@ -313,16 +256,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise CaseFormatError("scenario must be an object", source)
     robust = None
     if "robust" in doc:
-        where = f"{source}.robust"
-        raw = doc["robust"]
-        try:
-            robust = RobustParams(
-                phi=_number(raw, "phi", where),
-                mu=_number(raw, "mu", where),
-                reliability=_number(raw, "reliability", where),
-            )
-        except ValueError as exc:
-            raise CaseFormatError(str(exc), where) from exc
+        robust = _record(RobustParams, doc["robust"], f"{source}.robust")
     weather: dict[str, dict[str, WeatherPatch]] = {}
     raw_weather = doc.get("weather", {})
     if not isinstance(raw_weather, dict):
@@ -331,24 +265,9 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         where = f"{source}.weather[{period_id!r}]"
         if not isinstance(lines, dict):
             raise CaseFormatError("expected an object of line patches", where)
-        weather[period_id] = {}
-        for line_id, raw in lines.items():
-            patch_where = f"{where}[{line_id!r}]"
-            kr = None
-            if isinstance(raw, dict) and "kr" in raw:
-                kr = _number(raw, "kr", patch_where)
-            patch = WeatherPatch(
-                ambient_k=_number(raw, "ambient_k", patch_where),
-                wind_mps=_number(raw, "wind_mps", patch_where),
-                solar_w_per_m=_number(raw, "solar_w_per_m", patch_where),
-                kr=kr,
-            )
-            try:   # WeatherRecord's checks; an absent kr stands in as 1.0
-                WeatherRecord(patch.ambient_k, patch.wind_mps,
-                              patch.solar_w_per_m, 1.0 if kr is None else kr)
-            except ValueError as exc:
-                raise CaseFormatError(str(exc), patch_where) from exc
-            weather[period_id][line_id] = patch
+        weather[period_id] = {
+            line_id: _record(WeatherPatch, raw, f"{where}[{line_id!r}]")
+            for line_id, raw in lines.items()}
     return Scenario(robust=robust, weather=weather)
 
 

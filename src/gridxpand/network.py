@@ -12,6 +12,7 @@ the optimization model is built.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import UnknownEntityError
@@ -167,8 +168,8 @@ class CaseSystem:
 
 def scale_to_peak(case: CaseSystem, peak: float) -> CaseSystem:
     """New case with the system peak replaced; loads follow by derivation."""
-    if peak <= 0:
-        raise ValueError(f"peak demand must be > 0 MW, got {peak}")
+    if not 0 < peak < math.inf:
+        raise ValueError(f"peak demand must be finite and > 0 MW, got {peak}")
     return dataclasses.replace(case, peak_demand=peak)
 
 

@@ -31,6 +31,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -223,10 +224,11 @@ class SweepSpec:
     def __post_init__(self):
         if not self.peaks:
             raise ValueError("sweep needs at least one peak")
+        if not all(0 < p < math.inf for p in self.peaks):
+            raise ValueError(f"peaks must be finite positive MW values: "
+                             f"{self.peaks}")
         if any(b <= a for a, b in zip(self.peaks, self.peaks[1:])):
             raise ValueError(f"peaks must be strictly increasing: {self.peaks}")
-        if any(p <= 0 for p in self.peaks):
-            raise ValueError("peaks must be positive MW values")
         if not self.modes:
             raise ValueError("sweep needs at least one mode")
         for mode in self.modes:

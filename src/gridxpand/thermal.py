@@ -31,9 +31,9 @@ class ConductorSpec:
 
     The balance reads the per-meter resistance from the line
     (``LineSpec.resistance_at_tmax``), not from this record.
-    ``resistance_ref``, ``temperature_ref``, ``thermal_resistivity``,
-    ``elevation`` and ``heat_capacity`` are parsed and validated, but no
-    model reads them.
+    ``resistance_ref``, ``temperature_ref`` and ``thermal_resistivity``
+    are read from case files and validated, but no model reads them; the
+    benchmark's random instances still pass them.
     """
 
     diameter: float               # m
@@ -46,8 +46,6 @@ class ConductorSpec:
     resistance_ref: float         # ohm, whole line
     temperature_ref: float        # K
     thermal_resistivity: float    # 1/K in R_ref*(1 + h*(T - T_ref))
-    elevation: float = 0.0        # m
-    heat_capacity: float = 0.0    # MJ/(m*K)
 
     def __post_init__(self):
         positives = ("diameter", "air_density", "air_viscosity",

@@ -5,7 +5,10 @@ from __future__ import annotations
 import copy
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridxpand import (Scenario, WeatherPatch, apply_scenario,
                        case_to_document, load_case, load_scenario, parse_case,
@@ -13,7 +16,7 @@ from gridxpand import (Scenario, WeatherPatch, apply_scenario,
 from gridxpand.caseio import SCHEMA
 from gridxpand.errors import (CaseFormatError, CaseValidationError,
                               UnknownEntityError)
-from support import STANDARD_ROBUST, toy_case
+from support import STANDARD_ROBUST, random_instance, toy_case
 
 
 def toy_document() -> dict:
@@ -296,3 +299,177 @@ class TestShippedScenarios:
         case = apply_scenario(rts24_case, rts24_scenario)
         for period in case.periods:
             assert set(period.weather) == {c.id for c in case.lines}
+
+
+class TestCodec:
+    @pytest.mark.parametrize("name", ["six_bus.json", "rts24.json"])
+    def test_shipped_case_files_are_rewritten_byte_for_byte(
+            self, case_dir, tmp_path, name):
+        path = tmp_path / name
+        save_case(load_case(case_dir / name), path)
+        assert path.read_bytes() == (case_dir / name).read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_instances_survive_json(self, seed):
+        case, _, _ = random_instance(np.random.default_rng(seed))
+        text = json.dumps(case_to_document(case))
+        assert parse_case(json.loads(text)) == case
+
+    def test_unknown_keys_are_ignored(self):
+        # case files written before the conductor lost its unread
+        # elevation and heat capacity still load
+        doc = toy_document()
+        for line in doc["lines"]:
+            line["conductor"].update(elevation=0.0, heat_capacity=0.0)
+        doc["buses"][0]["note"] = "slack"
+        assert parse_case(doc) == toy_case()
+
+
+# A wrong value for each kind of field, and what the error says of it.
+NUMBER = ("high", "must be a number")
+TEXT = (7, "must be a non-empty string")
+FLAG = ("yes", "must be true or false")
+FORECAST = ({"p1": 1.0}, "must be a number or list")
+RECORD = (5, "expected an object")
+
+# (path to a record in the toy document, its location, its fields)
+CASE_RECORDS = [
+    (("system",), "case.system",
+     {"peak_demand": NUMBER, "s_base_mva": NUMBER, "v_base_kv": NUMBER}),
+    (("buses", 0), "case.buses[0]",
+     {"id": TEXT, "load_weight": NUMBER, "ev_forecast": FORECAST,
+      "wind_forecast": FORECAST, "pv_forecast": FORECAST}),
+    (("lines", 0), "case.lines[0]",
+     {"id": TEXT, "from_bus": TEXT, "to_bus": TEXT, "candidate": FLAG,
+      "install_cost": NUMBER, "susceptance": NUMBER, "conductance": NUMBER,
+      "resistance_at_tmax": NUMBER, "length": NUMBER, "t_max": NUMBER,
+      "flow_limit": NUMBER, "conductor": RECORD}),
+    (("lines", 0, "conductor"), "case.lines[0].conductor",
+     {"diameter": NUMBER, "air_density": NUMBER, "air_viscosity": NUMBER,
+      "thermal_conductivity": NUMBER, "wind_angle_coeff": NUMBER,
+      "emissivity": NUMBER, "radiation_coeff": NUMBER,
+      "resistance_ref": NUMBER, "temperature_ref": NUMBER,
+      "thermal_resistivity": NUMBER}),
+    (("generators", 0), "case.generators[0]",
+     {"id": TEXT, "bus": TEXT, "candidate": FLAG, "install_cost": NUMBER,
+      "op_cost": NUMBER, "p_max": NUMBER}),
+    (("periods", 0), "case.periods[0]",
+     {"id": TEXT, "duration": NUMBER, "load_factor": NUMBER,
+      "weather": ([], "must be an object")}),
+    (("periods", 0, "weather", "E"), "case.periods[0].weather['E']",
+     {"ambient_temp": NUMBER, "wind_speed": NUMBER, "solar_gain": NUMBER,
+      "radiation_coeff": NUMBER}),
+]
+SCENARIO_RECORDS = [
+    (("robust",), "scenario.robust",
+     {"phi": NUMBER, "mu": NUMBER, "reliability": NUMBER}),
+    (("weather", "*", "*"), "scenario.weather['*']['*']",
+     {"ambient_k": NUMBER, "wind_mps": NUMBER, "solar_w_per_m": NUMBER,
+      "kr": NUMBER}),
+]
+
+
+def scenario_document() -> dict:
+    return {"robust": {"phi": 0.05, "mu": 0.01, "reliability": 0.05},
+            "weather": {"*": {"*": {"ambient_k": 300.0, "wind_mps": 1.0,
+                                    "solar_w_per_m": 5.0, "kr": 2.5e-9}}}}
+
+
+def record_at(doc: dict, path: tuple) -> dict:
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def field_cases(records):
+    return [pytest.param(path, where, key, kind, id=f"{where}.{key}")
+            for path, where, fields in records
+            for key, kind in fields.items()]
+
+
+class TestEveryFieldIsChecked:
+    @pytest.mark.parametrize("records,document",
+                             [(CASE_RECORDS, toy_document),
+                              (SCENARIO_RECORDS, scenario_document)],
+                             ids=["case", "scenario"])
+    def test_tables_cover_every_key(self, records, document):
+        doc = document()
+        for path, _, fields in records:
+            assert set(fields) == set(record_at(doc, path)), path
+
+    def expect(self, parse, doc, path, where, key, kind):
+        value, message = kind
+        record_at(doc, path)[key] = value
+        with pytest.raises(CaseFormatError) as err:
+            parse(doc)
+        if kind is RECORD:
+            assert message in str(err.value)
+            assert err.value.location == f"{where}.{key}"
+        else:
+            assert f"field {key!r} {message}" in str(err.value)
+            assert err.value.location == where
+
+    @pytest.mark.parametrize("path,where,key,kind",
+                             field_cases(CASE_RECORDS))
+    def test_case_field(self, path, where, key, kind):
+        self.expect(parse_case, toy_document(), path, where, key, kind)
+
+    @pytest.mark.parametrize("path,where,key,kind",
+                             field_cases(SCENARIO_RECORDS))
+    def test_scenario_field(self, path, where, key, kind):
+        self.expect(parse_scenario, scenario_document(), path, where, key,
+                    kind)
+
+
+class TestNonFiniteNumbers:
+    def test_case_field_from_file(self, case_dir, tmp_path):
+        doc = json.loads((case_dir / "six_bus.json").read_text())
+        assert doc["lines"][0]["id"] == "T12"
+        doc["lines"][0]["susceptance"] = float("nan")
+        path = tmp_path / "six_bus.json"
+        path.write_text(json.dumps(doc))
+        assert '"susceptance": NaN' in path.read_text()
+        with pytest.raises(CaseFormatError) as err:
+            load_case(path)
+        assert "field 'susceptance' must be finite, got nan" in str(err.value)
+        assert err.value.location == "six_bus.json.lines[0]"
+
+    def test_integer_too_large_for_a_float(self):
+        doc = json.loads(json.dumps(toy_document()).replace(
+            '"install_cost": 0.0', '"install_cost": 1' + "0" * 400, 1))
+        with pytest.raises(CaseFormatError,
+                           match="field 'install_cost' must be finite") as err:
+            parse_case(doc)
+        assert err.value.location == "case.lines[0]"
+
+    @pytest.mark.parametrize("value,fragment", [
+        ([0.0, float("inf")], "entry 1 of 'ev_forecast' must be finite"),
+        (float("-inf"), "field 'ev_forecast' must be finite"),
+    ], ids=["list", "scalar"])
+    def test_forecast_entry(self, value, fragment):
+        doc = toy_document()
+        doc["buses"][0]["ev_forecast"] = value
+        with pytest.raises(CaseFormatError, match=fragment) as err:
+            parse_case(doc)
+        assert err.value.location == "case.buses[0]"
+
+    def test_robust_parameter(self):
+        doc = json.loads('{"robust": {"phi": NaN, "mu": 0.01, '
+                         '"reliability": 0.05}}')
+        with pytest.raises(CaseFormatError,
+                           match="field 'phi' must be finite") as err:
+            parse_scenario(doc)
+        assert err.value.location == "scenario.robust"
+
+    @pytest.mark.parametrize("key", ["ambient_k", "wind_mps",
+                                     "solar_w_per_m", "kr"])
+    def test_weather_patch(self, tmp_path, key):
+        doc = scenario_document()
+        doc["weather"]["*"]["*"][key] = float("inf")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CaseFormatError,
+                           match=f"field '{key}' must be finite") as err:
+            load_scenario(path)
+        assert err.value.location == "bad.json.weather['*']['*']"

@@ -89,6 +89,13 @@ class TestPlan:
         assert code == 0
         assert "status:     optimal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("peak", ["nan", "inf", "-5"])
+    def test_bad_peak_rejected(self, toy_path, peak, capsys):
+        code = main(["plan", "--case", toy_path, "--mode", "dc_det",
+                     "--peak", peak])
+        assert code == 2
+        assert "peak demand must be finite and > 0 MW" in capsys.readouterr().err
+
     def test_peak_rescale_to_infeasible(self, toy_path, capsys):
         code = main(["plan", "--case", toy_path, "--mode", "dc_det",
                      "--peak", "1000"])
@@ -128,6 +135,15 @@ class TestSweep:
         assert main(["sweep", "--case", toy_path, "--peaks", "abc",
                      "--mode", "dc_det", "--serial"]) == 2
         assert "bad peak list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("peaks", ["300,nan", "nan,300", "80,inf"])
+    def test_nonfinite_peak_rejected(self, toy_path, peaks, capsys):
+        code = main(["sweep", "--case", toy_path, "--peaks", peaks,
+                     "--mode", "dc_det", "--serial"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "finite positive" in captured.err
+        assert captured.out == ""
 
     def test_default_modes_need_scenario(self, toy_path, capsys):
         code = main(["sweep", "--case", toy_path, "--peaks", "80",

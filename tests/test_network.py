@@ -97,6 +97,11 @@ class TestScaleToPeak:
         with pytest.raises(ValueError, match="peak demand"):
             scale_to_peak(arith_case(), 0.0)
 
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_peak(self, peak):
+        with pytest.raises(ValueError, match="finite"):
+            scale_to_peak(arith_case(), peak)
+
 
 class TestLookups:
     def test_found(self):

@@ -510,6 +510,8 @@ class TestSweepSpec:
         ({"peaks": (-5.0, 100.0), "modes": ("dc_det",)}, "positive"),
         ({"peaks": (100.0,), "modes": ()}, "at least one mode"),
         ({"peaks": (100.0,), "modes": ("ac_opf",)}, "unknown mode"),
+        ({"peaks": (300.0, float("nan")), "modes": ("dc_det",)}, "finite"),
+        ({"peaks": (300.0, float("inf")), "modes": ("dc_det",)}, "finite"),
     ])
     def test_rejects(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
