@@ -174,7 +174,11 @@ def scale_to_peak(case: CaseSystem, peak: float) -> CaseSystem:
 
 
 def validate_case(case: CaseSystem) -> list[Violation]:
-    """Every broken invariant, one entry each; empty list means sound."""
+    """Every broken invariant, one entry each; empty list means sound.
+
+    Every number is compared so that NaN and infinity break its rule:
+    :mod:`gridxpand.caseio` refuses them in a file, and this catches them
+    in a case built in code."""
     out: list[Violation] = []
 
     def bad(entity_type: str, entity_id: str, field_name: str, rule: str):
@@ -183,11 +187,11 @@ def validate_case(case: CaseSystem) -> list[Violation]:
     n_periods = len(case.periods)
     if n_periods == 0:
         bad("case", "-", "periods", "at least one period is required")
-    if case.peak_demand <= 0:
+    if not 0 < case.peak_demand < math.inf:
         bad("case", "-", "peak_demand", "must be > 0 MW")
-    if case.s_base <= 0:
+    if not 0 < case.s_base < math.inf:
         bad("case", "-", "s_base", "must be > 0 MVA")
-    if case.v_base <= 0:
+    if not 0 < case.v_base < math.inf:
         bad("case", "-", "v_base", "must be > 0 kV")
 
     for kind, items in (("bus", case.buses), ("line", case.lines),
@@ -205,16 +209,16 @@ def validate_case(case: CaseSystem) -> list[Violation]:
     weight_sum = 0.0
     for b in case.buses:
         weight_sum += b.load_weight
-        if b.load_weight < 0:
+        if not 0 <= b.load_weight < math.inf:
             bad("bus", b.id, "load_weight", "must be >= 0")
         for field_name in ("ev_forecast", "wind_forecast", "pv_forecast"):
             values = getattr(b, field_name)
             if n_periods and len(values) != n_periods:
                 bad("bus", b.id, field_name,
                     f"needs one value per period ({len(values)} != {n_periods})")
-            if any(v < 0 for v in values):
+            if not all(0 <= v < math.inf for v in values):
                 bad("bus", b.id, field_name, "forecasts must be >= 0")
-    if case.buses and abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
+    if case.buses and not abs(weight_sum - 1.0) <= WEIGHT_SUM_TOL:
         bad("case", "-", "load_weight",
             f"bus weights must sum to 1 (got {weight_sum!r})")
 
@@ -225,19 +229,19 @@ def validate_case(case: CaseSystem) -> list[Violation]:
             bad("line", c.id, "to_bus", f"unknown bus {c.to_bus!r}")
         if c.from_bus == c.to_bus:
             bad("line", c.id, "to_bus", "line endpoints must differ")
-        if c.length <= 0:
+        if not 0 < c.length < math.inf:
             bad("line", c.id, "length", "must be > 0 km")
-        if c.t_max <= 273:
+        if not 273 < c.t_max < math.inf:
             bad("line", c.id, "t_max", "must be > 273 K")
-        if c.flow_limit <= 0:
+        if not 0 < c.flow_limit < math.inf:
             bad("line", c.id, "flow_limit", "must be > 0 p.u.")
-        if c.susceptance <= 0:
+        if not 0 < c.susceptance < math.inf:
             bad("line", c.id, "susceptance", "must be > 0 p.u.")
-        if c.conductance < 0:
+        if not 0 <= c.conductance < math.inf:
             bad("line", c.id, "conductance", "must be >= 0 p.u.")
-        if c.resistance_at_tmax <= 0:
+        if not 0 < c.resistance_at_tmax < math.inf:
             bad("line", c.id, "resistance_at_tmax", "must be > 0 ohm")
-        if c.install_cost < 0:
+        if not 0 <= c.install_cost < math.inf:
             bad("line", c.id, "install_cost", "must be >= 0")
         elif c.candidate and c.install_cost == 0:
             bad("line", c.id, "install_cost",
@@ -246,18 +250,18 @@ def validate_case(case: CaseSystem) -> list[Violation]:
     for g in case.generators:
         if g.bus not in bus_ids:
             bad("generator", g.id, "bus", f"unknown bus {g.bus!r}")
-        if g.p_max <= 0:
+        if not 0 < g.p_max < math.inf:
             bad("generator", g.id, "p_max", "must be > 0 MW")
-        if g.op_cost < 0:
+        if not 0 <= g.op_cost < math.inf:
             bad("generator", g.id, "op_cost", "must be >= 0")
-        if g.install_cost < 0:
+        if not 0 <= g.install_cost < math.inf:
             bad("generator", g.id, "install_cost", "must be >= 0")
         elif g.candidate and g.install_cost == 0:
             bad("generator", g.id, "install_cost",
                 "zero install cost is only allowed for existing units")
 
     for d in case.periods:
-        if d.duration <= 0:
+        if not 0 < d.duration < math.inf:
             bad("period", d.id, "duration", "must be > 0 h")
         if not 0 < d.load_factor <= 1:
             bad("period", d.id, "load_factor", "must be in (0, 1]")

@@ -41,11 +41,20 @@ optimum must be feasible in the model's rows and bounds and priced optimal
 by its basis's duals, and an infeasibility must come with a Farkas
 certificate, both checked against the original arrays.  An answer that
 fails its check is solved again from the slack basis.
-Once an incumbent exists, each assignment is first priced by the last
-basis's duals, sign-corrected, into a lower bound on its LP that holds for
-any duals and any right-hand side; an assignment whose bound exceeds the
-incumbent by more than its rounding is skipped unsolved, since it could
-never replace it.
+Assignments are priced in blocks of :data:`_BLOCK`, as the rows of a 0/1
+matrix in ``itertools.product`` order: one matrix product gives every
+right-hand side of a block and tests the model rows that have no column.
+Two proofs then skip assignments unsolved.  Once an incumbent exists, the
+basis of each solve prices the block's remaining assignments by its duals,
+sign-corrected, into lower bounds on their LPs that hold for any duals
+and any right-hand side; an assignment whose bound exceeds the incumbent
+by more than its rounding could never replace it (Land & Doig, 1960,
+bound the subproblems of an enumeration).  And each certified Farkas
+vector is kept: it proves infeasible any later right-hand side that it
+prices below the same margin as its own, so one infeasible LP can stand
+for many (a reused infeasibility proof, as in Codato & Fischetti, 2006).
+Memory does not grow with the number of assignments: one block is held at
+a time, and one vector per kept certificate.
 Agreement between the two backends is part of the test battery, so the
 oracle favours transparency over speed and refuses models with more free
 binaries than :data:`ENUMERATION_CAP`.
@@ -113,6 +122,7 @@ LIMIT = "limit"
 ERROR = "error"
 
 ENUMERATION_CAP = 20             # free binaries the oracle enumerates
+_BLOCK = 4096                    # assignments the oracle prices together
 
 # HiGHS options every external solve sets, proof solve or not: no console
 # log and no feasibility-jump heuristic (see the module docstring).
@@ -148,8 +158,8 @@ class SolveConfig:
     """Knobs shared by both backends.
 
     ``mip_gap`` only steers the external solver; the oracle is exact by
-    construction and checks ``time_limit`` on the wall clock between
-    assignments.
+    construction and checks ``time_limit`` on the wall clock after each
+    LP it solves and after each block of assignments.
     """
 
     backend: str = "external"
@@ -347,11 +357,18 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
     feasible or not; only the first starts from the all-slack basis.  A
     warm answer counts only with a certificate checked against the form's
     arrays; otherwise that assignment is solved again from the slack basis.
-    With an incumbent and a basis at hand, an assignment is first priced by
-    :class:`_DualBound` and skipped when its bound proves that it cannot
-    beat the incumbent; the bound is valid for any duals, so a skipped
-    assignment is never one that would have won.  The best optimum wins,
-    and infeasibility means no assignment admitted a feasible LP.  Every
+    Assignments are taken in blocks of :data:`_BLOCK`, whose right-hand
+    sides and rows without columns one :meth:`_StandardForm.rhs` call
+    prices.  Within a block they keep ``itertools.product`` order, and one
+    is skipped unsolved when the rows without columns break, when a kept
+    Farkas certificate (:func:`_farkas_prunes`) proves its LP infeasible,
+    or, once there is an incumbent, when the :class:`_DualBound` of the
+    last solve's basis proves that it cannot beat the incumbent; the bound
+    is valid for any duals, so a skipped assignment is never one that would
+    have won.  After each solve the new basis, and a new certificate, price
+    the block's remaining assignments at once.  The wall clock is read
+    after each solve and after each block.  The best optimum wins, and
+    infeasibility means no assignment admitted a feasible LP.  Every
     variable that is neither fixed nor a free binary must have two finite
     bounds, or :class:`SolverError` names it.  ``ir.objective`` is read at
     every call.
@@ -365,27 +382,39 @@ def oracle_solve(ir: ModelIR, config: SolveConfig | None = None) -> Solution:
             f"{ENUMERATION_CAP}; use the external backend")
 
     form = _StandardForm(_boxed_arrays(ir), pinned=[v.index for v in free])
+    total = 2 ** len(free)
+    shifts = np.arange(len(free) - 1, -1, -1)
     basis = None
-    bound = None                 # priced from ``basis``, again after a solve
+    bound = None                 # from ``basis``, once there is an incumbent
+    farkas = []                  # certified Farkas vectors of solved LPs
     best_obj = math.inf
     best_x = None
     timed_out = False
-    for bits in itertools.product((0.0, 1.0), repeat=len(free)):
-        bits = np.array(bits)
-        b = form.rhs(bits)
-        if b is not None and best_x is not None:
-            if bound is None:
-                bound = _DualBound(form, basis)
-            if bound.prunes(bits, b, best_obj):
-                b = None             # cannot beat the incumbent
-        if b is not None:
-            status, y, basis = _assignment(form, bits, b, basis)
-            bound = None
+    for first in range(0, total, _BLOCK):
+        index = np.arange(first, min(first + _BLOCK, total))
+        bits = ((index[:, None] >> shifts) & 1).astype(float)
+        b, meets = form.rhs(bits)
+        todo = np.flatnonzero(meets)          # in ``itertools.product`` order
+        if farkas:
+            todo = todo[~_farkas_prunes(np.array(farkas), b[todo])]
+        if bound is not None:
+            todo = todo[~bound.prunes(bits[todo], b[todo], best_obj)]
+        while todo.size:
+            k, todo = todo[0], todo[1:]
+            status, vector, basis = _assignment(form, bits[k], b[k], basis)
             if status == OPTIMAL:
-                x = form.point(y, bits)
+                x = form.point(vector, bits[k])
                 objective = float(form.model_cost @ x)
                 if objective < best_obj:
                     best_obj, best_x = objective, x
+            elif vector is not None:
+                farkas.append(vector)
+                todo = todo[~_farkas_prunes(vector[None], b[todo])]
+            if best_x is not None:
+                bound = _DualBound(form, basis)
+                todo = todo[~bound.prunes(bits[todo], b[todo], best_obj)]
+            if time.perf_counter() - start > config.time_limit:
+                break
         if time.perf_counter() - start > config.time_limit:
             timed_out = True
             break
@@ -419,10 +448,10 @@ def simplex_lp(ir: ModelIR, bounds_override: dict[int, tuple[float, float]]
         return INFEASIBLE, None, None
     form = _StandardForm(model, pinned=[])
     bits = np.zeros(0)
-    b = form.rhs(bits)
-    if b is None:
+    b, meets = form.rhs(bits[None])
+    if not meets[0]:
         return INFEASIBLE, None, None
-    status, y, _ = _assignment(form, bits, b, None)
+    status, y, _ = _assignment(form, bits, b[0], None)
     if status != OPTIMAL:
         return status, None, None
     x = form.point(y, bits)
@@ -551,13 +580,13 @@ class _StandardForm:
         self.constant = float(model.cost @ self.base)
         self.pinned_cost = model.cost[self.pinned]
 
-    def rhs(self, bits: np.ndarray) -> np.ndarray | None:
-        """The LP right-hand side for pinned values ``bits``; ``None`` when
-        a row with no column is broken."""
-        empty = self._empty_rhs - self._empty_pinned @ bits
-        if np.any(_violation(self._empty_direction, empty) > self._empty_tol):
-            return None
-        return self._rhs - self._pinned @ bits
+    def rhs(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The LP right-hand sides for pinned values ``bits``, one
+        assignment per row, and whether each assignment meets the rows
+        with no column."""
+        empty = self._empty_rhs - bits @ self._empty_pinned.T
+        broken = _violation(self._empty_direction, empty) > self._empty_tol
+        return self._rhs - bits @ self._pinned.T, ~broken.any(axis=1)
 
     def point(self, y: np.ndarray, bits) -> np.ndarray:
         """Model values for columns ``y`` and pinned values ``bits``."""
@@ -599,12 +628,15 @@ class _Basis:
 def _assignment(form: _StandardForm, bits: np.ndarray, b: np.ndarray,
                 basis: _Basis | None):
     """Solve the LP of one assignment, with right-hand side ``b``:
-    ``(status, y, basis)``.
+    ``(status, vector, basis)``.
 
-    From ``basis`` when one is given, and from a fresh slack basis when none
-    is or when the answer from it fails its certificate or hits the pivot
-    cap.  A fresh answer is final.  The returned ``basis`` is the one to
-    carry to the next assignment; a solve pivots it in place.
+    ``vector`` is the optimal ``y``, or for an infeasible LP its Farkas
+    vector as :func:`_farkas_certificate` returns it, ``None`` when that
+    check fails.  The LP is solved from ``basis`` when one is given, and
+    from a fresh slack basis when none is or when the answer from it fails
+    its certificate or hits the pivot cap.  A fresh answer is final.  The
+    returned ``basis`` is the one to carry to the next assignment; a solve
+    pivots it in place.
     """
     if basis is not None:
         answer = _dual_simplex(basis, b)
@@ -613,8 +645,10 @@ def _assignment(form: _StandardForm, bits: np.ndarray, b: np.ndarray,
             if status == OPTIMAL and _optimum_certified(form, basis, bits, b,
                                                         vector):
                 return OPTIMAL, vector, basis
-            if status == INFEASIBLE and _farkas_certified(form, b, vector):
-                return INFEASIBLE, None, basis
+            if status == INFEASIBLE:
+                u = _farkas_certificate(form, b, vector)
+                if u is not None:
+                    return INFEASIBLE, u, basis
     basis = _Basis(form)
     answer = _dual_simplex(basis, b)
     if answer is None:
@@ -622,7 +656,9 @@ def _assignment(form: _StandardForm, bits: np.ndarray, b: np.ndarray,
             f"dual simplex exceeded {_pivot_cap(basis.tableau)} pivots on a "
             f"{form.a.shape[0]}x{form.a.shape[1]} LP")
     status, vector = answer
-    return status, vector if status == OPTIMAL else None, basis
+    if status == INFEASIBLE:
+        vector = _farkas_certificate(form, b, vector)
+    return status, vector, basis
 
 
 class _DualBound:
@@ -649,12 +685,13 @@ class _DualBound:
                                            @ form.width)
 
     def prunes(self, bits: np.ndarray, b: np.ndarray,
-               incumbent: float) -> bool:
-        """Whether the model's cost under ``bits`` provably exceeds
+               incumbent: float) -> np.ndarray:
+        """Whether the model's cost under each row of ``bits``, with the
+        right-hand side in the same row of ``b``, provably exceeds
         ``incumbent``, by more than the rounding the bound can carry."""
-        bound = self.floor + self.form.pinned_cost @ bits + self.u @ b
-        return bool(bound - incumbent > _CERT_TOL * (
-            1.0 + abs(incumbent) + self.abs_u @ np.abs(b)))
+        bound = self.floor + bits @ self.form.pinned_cost + b @ self.u
+        return bound - incumbent > _CERT_TOL * (
+            1.0 + abs(incumbent) + np.abs(b) @ self.abs_u)
 
 
 def _dual_simplex(basis: _Basis, b: np.ndarray):
@@ -724,25 +761,48 @@ def _optimum_certified(form: _StandardForm, basis: _Basis,
                                + np.abs(u) @ np.abs(b))
 
 
-def _farkas_certified(form: _StandardForm, b: np.ndarray,
-                      u: np.ndarray) -> bool:
-    """Whether row multipliers ``u`` prove ``a y <= b, y >= 0``
-    infeasible: ``u >= 0``, ``u a >= 0`` and ``u b < 0``, so no ``y`` can
-    meet the rows.
+def _farkas_certificate(form: _StandardForm, b: np.ndarray,
+                        u: np.ndarray) -> np.ndarray | None:
+    """Row multipliers ``u`` as a proof that ``a y <= b, y >= 0`` is
+    infeasible, or ``None`` when they are none: ``u >= 0``, ``u a >= 0``
+    and ``u b < 0``, so no ``y`` can meet the rows.
 
-    Negative entries are dropped first.  With ``u`` scaled to a largest
-    entry of 1, ``-u b`` is a lower bound on the summed violation of the
-    rows at any ``y >= 0``, so it must exceed :data:`_FARKAS_TOL` relative
-    to ``b``: a smaller one could be rounding.
+    Negative entries are dropped first and ``u`` is scaled to a largest
+    entry of 1; that is the vector returned.  ``u b`` must fall below
+    :func:`_farkas_margin`.  ``u a >= 0`` does not depend on ``b``, so the
+    vector proves infeasible any other right-hand side that passes the
+    same test (:func:`_farkas_prunes`).
     """
     u = np.maximum(u, 0.0)
     size = float(u.max(initial=0.0))
     if size == 0.0:
-        return False
+        return None
     u = u / size
-    if u @ b >= -_FARKAS_TOL * max(1.0, float(np.abs(b).max())):
-        return False
-    return bool(np.all(u @ form.a >= -_CERT_TOL * (1.0 + u @ np.abs(form.a))))
+    if u @ b >= _farkas_margin(b):
+        return None
+    if np.all(u @ form.a >= -_CERT_TOL * (1.0 + u @ np.abs(form.a))):
+        return u
+    return None
+
+
+def _farkas_prunes(certificates: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which right-hand sides, the rows of ``b``, some row of
+    ``certificates`` (vectors from :func:`_farkas_certificate`) proves
+    infeasible: ``u b'`` below :func:`_farkas_margin` of ``b'``."""
+    return np.any(b @ certificates.T < _farkas_margin(b)[:, None], axis=1)
+
+
+def _farkas_margin(b: np.ndarray) -> np.ndarray:
+    """The bound ``u b`` must fall below for a Farkas vector ``u >= 0``
+    with largest entry 1 and ``u a >= 0`` to prove the right-hand side
+    ``b`` (or each row of it) infeasible.
+
+    ``-u b`` is a lower bound on the summed violation of the rows at any
+    ``y >= 0``, so it must exceed :data:`_FARKAS_TOL` relative to ``b``: a
+    smaller one could be rounding.
+    """
+    return -_FARKAS_TOL * np.maximum(1.0, np.abs(b).max(axis=-1,
+                                                        initial=0.0))
 
 
 def _pivot_cap(tableau: np.ndarray) -> int:

@@ -52,13 +52,13 @@ class ConductorSpec:
                      "thermal_conductivity", "wind_angle_coeff",
                      "radiation_coeff", "resistance_ref", "temperature_ref")
         for name in positives:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"conductor {name} must be > 0, "
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"conductor {name} must be finite and > 0, "
                                  f"got {getattr(self, name)}")
         if not 0 < self.emissivity <= 1:
             raise ValueError(f"emissivity must be in (0, 1], got {self.emissivity}")
-        if self.thermal_resistivity < 0:
-            raise ValueError("thermal resistivity must be >= 0")
+        if not 0 <= self.thermal_resistivity < math.inf:
+            raise ValueError("thermal resistivity must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,17 @@ class WeatherRecord:
     radiation_coeff: float        # W/(m*K^4)
 
     def __post_init__(self):
-        if self.ambient_temp <= 0:
-            raise ValueError(f"ambient temperature must be > 0 K, "
+        if not 0 < self.ambient_temp < math.inf:
+            raise ValueError(f"ambient temperature must be finite and > 0 K, "
                              f"got {self.ambient_temp}")
-        if self.wind_speed < 0:
-            raise ValueError(f"wind speed must be >= 0, got {self.wind_speed}")
-        if self.solar_gain < 0:
-            raise ValueError(f"solar gain must be >= 0, got {self.solar_gain}")
-        if self.radiation_coeff <= 0:
-            raise ValueError(f"radiation coefficient must be > 0, "
+        if not 0 <= self.wind_speed < math.inf:
+            raise ValueError(f"wind speed must be finite and >= 0, "
+                             f"got {self.wind_speed}")
+        if not 0 <= self.solar_gain < math.inf:
+            raise ValueError(f"solar gain must be finite and >= 0, "
+                             f"got {self.solar_gain}")
+        if not 0 < self.radiation_coeff < math.inf:
+            raise ValueError(f"radiation coefficient must be finite and > 0, "
                              f"got {self.radiation_coeff}")
 
 

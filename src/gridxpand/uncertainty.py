@@ -97,10 +97,10 @@ class RobustParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
-        if self.phi < 0.0:
-            raise ValueError(f"phi must be >= 0, got {self.phi}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.phi < math.inf:
+            raise ValueError(f"phi must be finite and >= 0, got {self.phi}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not 0.0 < self.reliability <= 0.5:
             raise ValueError(
                 f"reliability must lie in (0, 0.5], got {self.reliability}")
@@ -139,8 +139,9 @@ class NormalApprox:
     std_dev: float
 
     def __post_init__(self):
-        if self.std_dev < 0.0:
-            raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
+        if not 0.0 <= self.std_dev < math.inf:
+            raise ValueError(f"std_dev must be finite and >= 0, "
+                             f"got {self.std_dev}")
 
 
 def binomial_normal_approx(n: int, rho: float) -> NormalApprox:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -170,6 +171,40 @@ class TestValidateCase:
         ("resistance_at_tmax", 0.0), ("install_cost", -1.0)])
     def test_line_scalar_rules(self, field_name, value):
         case = replace_line(toy_case(), 0, **{field_name: value})
+        assert len(rules(case, field_name)) == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field_name", [
+        "susceptance", "conductance", "flow_limit", "install_cost",
+        "resistance_at_tmax", "t_max", "length"])
+    def test_line_rejects_nonfinite_values(self, six_bus_case, field_name,
+                                           value):
+        for index in (0, len(six_bus_case.lines) - 1):   # existing, candidate
+            case = replace_line(six_bus_case, index, **{field_name: value})
+            assert len(rules(case, field_name)) == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("records, replace, field_name", [
+        ("buses", replace_bus, "load_weight"),
+        ("buses", replace_bus, "wind_forecast"),
+        ("generators", replace_generator, "p_max"),
+        ("generators", replace_generator, "op_cost"),
+        ("generators", replace_generator, "install_cost"),
+        ("periods", replace_period, "duration"),
+        ("periods", replace_period, "load_factor")])
+    def test_other_records_reject_nonfinite_values(self, records, replace,
+                                                   field_name, value):
+        case = toy_case()
+        old = getattr(getattr(case, records)[0], field_name)
+        new = (value,) * len(old) if isinstance(old, tuple) else value
+        case = replace(case, 0, **{field_name: new})
+        assert rules(case, field_name)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field_name", ["peak_demand", "s_base",
+                                            "v_base"])
+    def test_case_scalars_reject_nonfinite_values(self, field_name, value):
+        case = dataclasses.replace(toy_case(), **{field_name: value})
         assert len(rules(case, field_name)) == 1
 
     def test_candidate_line_needs_nonzero_cost(self):

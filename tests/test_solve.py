@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -753,6 +754,34 @@ class TestOracleSolve:
         assert "time limit" in sol.message
         assert sol.objective is not None   # all-zero assignment found first
 
+    def test_model_at_the_cap_solves_in_flat_memory(self):
+        """2**20 assignments are priced in blocks: the right-hand sides of
+        all of them at once would take 50 MB, their bits 168 MB."""
+        rng = np.random.default_rng(2020)
+        ir = ModelIR()
+        bits = [ir.add_variable(f"b{i}", BINARY)
+                for i in range(ENUMERATION_CAP)]
+        xs = [ir.add_variable(f"x{j}", CONTINUOUS, 0.0, 4.0)
+              for j in range(3)]
+        spill = ir.add_variable("spill", CONTINUOUS, 0.0, 1.0)
+        ir.objective = {**{i: float(rng.integers(2, 9)) for i in bits},
+                        **{j: 5.0 for j in xs}}
+        ir.add_row("demand", {**{j: 1.0 for j in xs},
+                              **{i: float(rng.integers(1, 4)) for i in bits}},
+                   GE, 14.0)
+        ir.add_row("count", {**{i: 1.0 for i in bits}, spill: -1.0}, LE, 6.0)
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            sol = oracle_solve(ir, ORACLE)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_answer(sol, OPTIMAL, external_solve(ir).objective)
+        assert elapsed < 10.0
+        assert peak < 8e6
+
 
 ORACLE = SolveConfig(backend="oracle", time_limit=60.0)
 
@@ -811,9 +840,42 @@ def returns(monkeypatch, owner, name: str) -> list:
     return results
 
 
+def certificate_pruned(patch, ir: ModelIR):
+    """Solve ``ir`` by the oracle and list the assignments a kept Farkas
+    certificate pruned, as indices in ``itertools.product`` order.
+
+    An assignment is found by its right-hand side in the block priced;
+    assignments with the same right-hand side, which have the same LP,
+    are all listed."""
+    weights = 2.0 ** np.arange(len(ir.free_binaries()) - 1, -1, -1)
+    rhs = solve_module._StandardForm.rhs
+    prunes = solve_module._farkas_prunes
+    block = []                               # (bits, b) of the last block
+    pruned = []
+
+    def recorded_rhs(form, bits):
+        answer = rhs(form, bits)
+        block[:] = [(bits, answer[0])]
+        return answer
+
+    def recorded_prunes(certificates, b):
+        mask = prunes(certificates, b)
+        bits, block_b = block[0]
+        for row in b[mask]:
+            same = np.flatnonzero((block_b == row).all(axis=1))
+            assert same.size > 0
+            pruned.extend((bits[same] @ weights).astype(int).tolist())
+        return mask
+
+    patch.setattr(solve_module._StandardForm, "rhs", recorded_rhs)
+    patch.setattr(solve_module, "_farkas_prunes", recorded_prunes)
+    return oracle_solve(ir, ORACLE), pruned
+
+
 class TestOracleWarmStarts:
-    """The oracle prices each assignment by the last basis's duals and
-    re-solves those it cannot prune from that basis."""
+    """The oracle prices each assignment by the last basis's duals and by
+    the Farkas certificates it kept, and re-solves from that basis those it
+    cannot prune."""
 
     # Seeds 54, 43 and 5 draw dc_det, dc_robust and dtlr_robust models whose
     # first 31, 11 and 7 assignments are infeasible, so the basis the later
@@ -908,16 +970,99 @@ class TestOracleWarmStarts:
 
     def test_every_assignment_is_pruned_solved_or_rhs_infeasible(
             self, monkeypatch):
+        """Each assignment is counted once: it breaks a row with no
+        column, is pruned by the dual bound or by a kept Farkas
+        certificate, or is solved.  The oracle prices assignments in
+        blocks, so each count is summed over the rows of a block."""
         ir = planning_model(5)
         rhs = returns(monkeypatch, solve_module._StandardForm, "rhs")
         pruned = returns(monkeypatch, solve_module._DualBound, "prunes")
+        refuted = returns(monkeypatch, solve_module, "_farkas_prunes")
         solved = counting(monkeypatch, "_assignment")
         assert oracle_solve(ir, ORACLE).status == "optimal"
         total = 2 ** len(ir.free_binaries())
-        assert len(rhs) == total
-        assert (sum(pruned) + len(solved)
-                + sum(b is None for b in rhs)) == total
-        assert sum(pruned) > 0 and len(solved) < total
+        assert sum(meets.size for _, meets in rhs) == total
+        rhs_infeasible = sum(int((~meets).sum()) for _, meets in rhs)
+        bound_pruned = sum(int(mask.sum()) for mask in pruned)
+        farkas_pruned = sum(int(mask.sum()) for mask in refuted)
+        assert (bound_pruned + farkas_pruned + len(solved)
+                + rhs_infeasible) == total
+        assert bound_pruned > 0 and farkas_pruned > 0
+        assert len(solved) < total
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(54)
+    @example(43)
+    @example(5)
+    @example(50)
+    @settings(max_examples=20, deadline=None)
+    def test_certificate_pruned_assignments_are_infeasible(self, seed):
+        """Every assignment a kept Farkas certificate prunes unsolved is
+        infeasible under a cold solve of its own LP."""
+        ir = planning_model(seed)
+        _, _, statuses = cold_enumeration(ir)
+        with pytest.MonkeyPatch.context() as patch:
+            _, pruned = certificate_pruned(patch, ir)
+        assert all(statuses[k] == INFEASIBLE for k in pruned)
+
+    # Negated, a vector's entries of the right sign turn negative and are
+    # dropped, so what is left must pass the checks by itself.  Scaled, it
+    # meets the margin on u b as it should only once rescaled to a largest
+    # entry of 1.  Tilted towards the row of least right-hand side, it
+    # keeps u b < 0 but breaks u a >= 0.
+    @pytest.mark.parametrize("seed", [5, 54])
+    @pytest.mark.parametrize("corruption", ["negated", "scaled up",
+                                            "scaled down", "tilted"])
+    def test_corrupted_farkas_vectors_never_prune_the_optimum(
+            self, monkeypatch, seed, corruption):
+        """Every Farkas vector the dual simplex returns, warm or fresh, is
+        corrupted before the oracle checks and keeps it."""
+        ir = planning_model(seed)
+        status, objective, statuses = cold_enumeration(ir)
+        step = solve_module._dual_simplex
+
+        def corrupted(basis, b):
+            answer = step(basis, b)
+            if answer is None or answer[0] != INFEASIBLE:
+                return answer
+            u = answer[1]
+            if corruption == "tilted":
+                u = u.copy()
+                u[np.argmin(b)] += 10.0 * np.abs(u).max()
+                return INFEASIBLE, u
+            scale = {"negated": -1.0, "scaled up": 1e12,
+                     "scaled down": 1e-12}[corruption]
+            return INFEASIBLE, scale * u
+
+        monkeypatch.setattr(solve_module, "_dual_simplex", corrupted)
+        sol, pruned = certificate_pruned(monkeypatch, ir)
+        assert_same_answer(sol, status, objective)
+        assert all(statuses[k] == INFEASIBLE for k in pruned)
+        if corruption.startswith("scaled"):
+            assert pruned
+
+    def test_farkas_check_needs_nonnegative_multipliers(self):
+        """On ``x <= 1`` and ``x <= t`` over ``0 <= x <= 2``, (-1, 1, 0)
+        meets ``u a >= 0`` and ``u b < 0`` through its negative entry only,
+        which proves nothing; with ``t = -0.5``, (0, 3, 0) truly proves the
+        LP infeasible, and is kept scaled to a largest entry of 1."""
+        for t, u, kept in ((0.7, [-1.0, 1.0, 0.0], None),
+                           (-0.5, [0.0, 3.0, 0.0], [0.0, 1.0, 0.0])):
+            ir = ModelIR()
+            x = ir.add_variable("x", CONTINUOUS, 0.0, 2.0)
+            ir.add_row("loose", {x: 1.0}, LE, 1.0)
+            ir.add_row("tight", {x: 1.0}, LE, t)
+            form = solve_module._StandardForm(
+                solve_module._boxed_arrays(ir), pinned=[])
+            b, _ = form.rhs(np.zeros((1, 0)))
+            certificate = solve_module._farkas_certificate(form, b[0],
+                                                           np.array(u))
+            if kept is None:
+                assert certificate is None
+                assert simplex_lp(ir)[0] == OPTIMAL
+            else:
+                assert certificate.tolist() == kept
+                assert simplex_lp(ir)[0] == INFEASIBLE
 
     def test_objective_is_read_at_every_call(self):
         ir = planning_model(5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -207,6 +208,21 @@ class TestConductorAndWeatherValidation:
             WeatherRecord(298.0, 1.0, -1.0, 2.5e-9)
         with pytest.raises(ValueError):
             WeatherRecord(298.0, 1.0, 1.0, 0.0)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field_name", [
+        f.name for f in dataclasses.fields(DEFAULT_CONDUCTOR)])
+    def test_conductor_rejects_nonfinite_values(self, field_name, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(DEFAULT_CONDUCTOR, **{field_name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field_name", [
+        f.name for f in dataclasses.fields(WeatherRecord)])
+    def test_weather_rejects_nonfinite_values(self, field_name, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(DEFAULT_WEATHER, **{field_name: value})
 
 
 class TestRadiationLogFit:

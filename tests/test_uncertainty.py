@@ -78,6 +78,14 @@ class TestRobustParams:
         with pytest.raises(ValueError):
             RobustParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field_name", ["phi", "mu", "reliability"])
+    def test_rejects_nonfinite_values(self, field_name, value):
+        kwargs = dict(phi=0.05, mu=0.01, reliability=0.05)
+        kwargs[field_name] = value
+        with pytest.raises(ValueError, match=field_name):
+            RobustParams(**kwargs)
+
     def test_zero_protection_allowed(self):
         params = RobustParams(phi=0.0, mu=0.0, reliability=0.05)
         assert robust_margin(123.0, params) == (0.0, 0.0)
@@ -176,6 +184,11 @@ class TestNormalApprox:
     def test_rejects_negative_spread(self):
         with pytest.raises(ValueError):
             NormalApprox(mean=0.0, std_dev=-1.0)
+
+    @pytest.mark.parametrize("spread", [math.nan, math.inf])
+    def test_rejects_nonfinite_spread(self, spread):
+        with pytest.raises(ValueError, match="std_dev"):
+            NormalApprox(mean=0.0, std_dev=spread)
 
     @pytest.mark.parametrize("args", [(-1, 0.5), (10, -0.1), (10, 1.1)])
     def test_domain(self, args):
