@@ -12,7 +12,18 @@ the thermal model's build-time rating — sets every binary of the thermal
 model (its build choices, and each cosine side to the sign of its angle
 difference), and HiGHS completes that MIP start by the LP that is left.
 Without it HiGHS proves a tight root bound early but finds good
-incumbents late.
+incumbents late.  Most of what is left is HiGHS proving that start optimal,
+mostly by strong branching on the cosine sides.  So before the final
+solve, warm LPs probe each side once toward the other side, under the row
+``cost <= z`` with ``z`` the start's cost, and fix the sides that no plan
+at least as cheap as the start can flip
+(:func:`~gridxpand.solve.probe_sides`).  The probe gets at most as many
+simplex iterations as the seed solve took, so its fixings depend on the
+model alone.  A seed that closes at the root gives no probe: that budget
+fixes only 4-6 of RTS24's 170 sides, and the thermal proof there closes
+at the root too.  At an angle difference of 0 both sides give the same
+flow, so no fixing cuts off the optimum: status, gap and dual bound keep
+their meaning.
 
 Static-rating solves (``dc_det``, ``dc_robust``, the rated DC seed) are
 proof solves, without HiGHS's sub-MIP heuristics and root restarts: root
@@ -37,11 +48,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .builder import (MODES, PlanResult, VarMap, build_igtep, extract_plan,
                       hbe_certificate_bound, hbe_residual_audit)
 from .network import CaseSystem, scale_to_peak
-from .solve import SolveConfig, external_solve, solve
+from .solve import SideProbe, SolveConfig, external_solve, probe_sides, solve
 from .uncertainty import RobustParams
 
 DISPLAY_COST_UNIT = 1e7            # tables print $ x 10^7
@@ -68,6 +80,19 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     an LP over the other columns and drops a start it cannot complete.
     The status, the proven gap and every audit are those of the full solve.
 
+    Between the two solves, :func:`~gridxpand.solve.probe_sides` fixes the
+    cosine sides that no plan as cheap as the start can flip.  Each side
+    is probed once by a warm LP, under the row ``cost <= z`` (``z`` the
+    start's cost): its angle difference is minimized when the start's is
+    positive and maximized when it is negative, and a value that keeps
+    the start's sign fixes the side.  The probe's LPs share the seed
+    solve's simplex iteration count as their budget and what is left of
+    the time limit.  Nothing is probed when the seed solve closed at the
+    root (at most one node), or when the start's completion LP is not
+    optimal.  A side is fixed only where every plan at least as cheap as
+    the start has its sign or an angle difference of 0, where both sides
+    give the same flow, so the fixings never change the optimum.
+
     ``dc_det``, ``dc_robust`` and a thermal solve that gets a start are
     proof solves, with ``sub_mips=False`` (see
     :func:`~gridxpand.solve.external_solve`): no sub-MIP heuristics and no
@@ -75,33 +100,48 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     without a start, because an existing line has no rating or the rated
     DC model has no plan, runs cold with both.
 
-    ``plan.audit["solver"]`` holds the final gap, dual bound, node count,
-    whether a start was passed to HiGHS and whether the final solve allowed
-    the sub-MIP heuristics and root restarts (``sub_mips``); like
-    ``runtime_s`` it stays out of
-    :func:`plan_document`.  For thermal-rating plans the nonlinear
-    heat-balance audit runs automatically and lands in
-    ``plan.audit["hbe"]`` next to the certified residual bound.
+    ``plan.audit["solver"]`` holds the final gap, dual bound, node count
+    and simplex iterations (``lp_iterations``), whether a start was passed
+    to HiGHS, the seed's and the probe's simplex iterations
+    (``seed_lp_iterations``, ``probe_lp_iterations``), how many sides the
+    probe fixed (``fixed_sides``) and whether the final solve allowed the
+    sub-MIP heuristics and root restarts (``sub_mips``); like
+    ``runtime_s`` it stays out of :func:`plan_document`.  For
+    thermal-rating plans the nonlinear heat-balance audit runs
+    automatically and lands in ``plan.audit["hbe"]`` next to the certified
+    residual bound.
     """
     config = config if config is not None else SolveConfig()
     ir, vm = build_igtep(case, params, mode)
     t0 = time.perf_counter()
-    start = None
+    seed = None
     if mode == "dtlr_robust" and config.backend == "external":
-        start = _thermal_start(case, params, vm, config,
-                               SEED_TIME_SHARE * config.time_limit)
+        seed = _thermal_start(case, params, vm, config,
+                              SEED_TIME_SHARE * config.time_limit)
+    start = None if seed is None else seed.values
+    probe = SideProbe({}, 0)
+    if seed is not None and seed.nodes > 1:
+        sides = [(side, vm.angle[a, d], vm.angle[b, d])
+                 for (a, b, d), side in vm.cos_side.items()]
+        probe = probe_sides(ir, start, sides, seed.lp_iterations,
+                            config.time_limit - (time.perf_counter() - t0))
     left = max(config.time_limit - (time.perf_counter() - t0),
                FINAL_TIME_FLOOR_S)
     sub_mips = mode == "dtlr_robust" and start is None
     solution = solve(ir, replace(config, time_limit=left), start=start,
-                     sub_mips=sub_mips)
+                     sub_mips=sub_mips, fixed=probe.fixed)
     plan = extract_plan(solution, vm, case)
     plan.audit["backend"] = config.backend
     plan.audit["runtime_s"] = time.perf_counter() - t0
     plan.audit["solver"] = {"mip_gap": solution.mip_gap,
                             "mip_dual_bound": solution.mip_dual_bound,
                             "mip_node_count": solution.mip_node_count,
+                            "lp_iterations": solution.lp_iterations,
                             "seeded": start is not None,
+                            "seed_lp_iterations": (0 if seed is None else
+                                                   seed.lp_iterations),
+                            "probe_lp_iterations": probe.lp_iterations,
+                            "fixed_sides": len(probe.fixed),
                             "sub_mips": sub_mips}
     if mode == "dtlr_robust" and plan.has_plan:
         residuals = hbe_residual_audit(plan, case)
@@ -118,11 +158,20 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     return plan
 
 
+class _Start(NamedTuple):
+    """A MIP start ``values`` ``{column: 0/1}``, and the simplex iterations
+    and branch-and-bound nodes of the rated DC solve that gave it."""
+
+    values: dict[int, float]
+    lp_iterations: int
+    nodes: int
+
+
 def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
                    config: SolveConfig,
-                   budget: float) -> dict[int, float] | None:
-    """A partial MIP start ``{column: 0/1}`` for the thermal model ``vm``,
-    or ``None`` when the rated DC model has no plan.
+                   budget: float) -> _Start | None:
+    """A MIP start for the thermal model ``vm``, or ``None`` when the rated
+    DC model has no plan.
 
     The rated DC model is ``dc_robust`` with each line-period's flow limited
     by its build-time thermal rating ``vm.ratings[l, d].amps``: the bound of
@@ -137,7 +186,8 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
     the sign of the plan's angle difference ``angle[from,d] - angle[to,d]``
     in the corridor's own direction.  A line that runs the other way shares
     that side, so setting it per line would give it the opposite value and
-    HiGHS would drop the start.
+    HiGHS would drop the start.  Together these values set every binary
+    the thermal model leaves free.
     """
     if any(vm.ratings[c.id, d.id].amps is None
            for c in case.lines if not c.candidate for d in case.periods):
@@ -156,7 +206,7 @@ def _thermal_start(case: CaseSystem, params: RobustParams, vm: VarMap,
     for (a, b, d), side in vm.cos_side.items():
         diff = dc.values[dc_vm.angle[a, d]] - dc.values[dc_vm.angle[b, d]]
         start[side] = 1.0 if diff >= 0.0 else 0.0
-    return start
+    return _Start(start, dc.lp_iterations, dc.mip_node_count)
 
 
 def plan_document(plan: PlanResult) -> dict:

@@ -19,7 +19,13 @@ switches off the feasibility-jump primal heuristic, a fixed 8-12 ms per
 solve in HiGHS 1.12 that never changed a node count or an answer on the
 models measured.  These options steer the search only, never the optimum,
 and an option HiGHS refuses is an error, so a renamed one cannot quietly
-come back on.
+come back on.  Each solve also reports HiGHS's simplex iteration count.
+
+Between the seed and the final thermal solve, :func:`probe_sides` fixes
+the cosine sides that no plan as cheap as the start can flip: warm LPs on
+one HiGHS object, within the seed solve's own simplex iteration count.
+The final solve takes them as fixed bounds (``fixed``).  They cut off no
+plan at least as cheap as the start, so the optimum stays.
 
 Both backends read the model through one export to arrays
 (:func:`_model_arrays`): cost, the row matrix as a compressed sparse row
@@ -123,6 +129,8 @@ ERROR = "error"
 
 ENUMERATION_CAP = 20             # free binaries the oracle enumerates
 _BLOCK = 4096                    # assignments the oracle prices together
+PROBE_SLACK = 1e-9               # of |z|, on the probe's row cost <= z
+PRIMAL_SIMPLEX = 4               # HiGHS's ``simplex_strategy`` for it
 
 # HiGHS options every external solve sets, proof solve or not: no console
 # log and no feasibility-jump heuristic (see the module docstring).
@@ -186,6 +194,7 @@ class Solution:
     mip_gap: float | None = None          # proven relative gap at exit
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None
+    lp_iterations: int | None = None      # simplex iterations, external only
 
     def value(self, ir: ModelIR, name: str) -> float:
         if self.values is None:
@@ -195,12 +204,14 @@ class Solution:
 
 def solve(ir: ModelIR, config: SolveConfig | None = None, *,
           start: dict[int, float] | None = None,
-          sub_mips: bool = True) -> Solution:
-    """Dispatch on ``config.backend``; the oracle ignores ``start`` and
-    ``sub_mips``."""
+          sub_mips: bool = True,
+          fixed: dict[int, float] | None = None) -> Solution:
+    """Dispatch on ``config.backend``; the oracle ignores ``start``,
+    ``sub_mips`` and ``fixed``."""
     config = config if config is not None else SolveConfig()
     if config.backend == "external":
-        return external_solve(ir, config, start=start, sub_mips=sub_mips)
+        return external_solve(ir, config, start=start, sub_mips=sub_mips,
+                              fixed=fixed)
     return oracle_solve(ir, config)
 
 
@@ -210,12 +221,15 @@ def solve(ir: ModelIR, config: SolveConfig | None = None, *,
 
 def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                    start: dict[int, float] | None = None,
-                   sub_mips: bool = True) -> Solution:
+                   sub_mips: bool = True,
+                   fixed: dict[int, float] | None = None) -> Solution:
     """Solve with HiGHS at ``config.mip_gap`` within ``config.time_limit``.
 
     ``start`` holds values for some or all columns, by index, and is offered
     to HiGHS as a MIP start; HiGHS completes a partial start by an LP over
-    the other columns and drops a start it cannot complete.
+    the other columns and drops a start it cannot complete.  ``fixed``
+    holds values, by index, that replace those columns' bounds, as
+    :func:`probe_sides` proves them for the cosine sides.
     ``sub_mips=False`` makes it a proof solve: it switches off the options
     in :data:`PROOF_OPTIONS`, HiGHS's sub-MIP heuristics and its root
     restarts.  That changes how fast the optimum is found and proved, not
@@ -223,49 +237,28 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     :data:`FIXED_OPTIONS`: no console log and no feasibility-jump
     heuristic; the default leaves every other search option at HiGHS's own
     value.  An option HiGHS refuses raises :class:`SolverError` naming it.
+    The solution carries HiGHS's simplex iteration count, strong branching
+    and every node's LPs included.
     """
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
     n = ir.num_variables
-    model = _model_arrays(ir)
+    model = _model_arrays(ir, {i: (v, v) for i, v in (fixed or {}).items()})
     if n == 0:
         ok = bool(np.all(_violation(model.direction, model.rhs) <= 1e-9))
         return Solution(OPTIMAL if ok else INFEASIBLE,
                         0.0 if ok else None,
                         np.zeros(0) if ok else None,
-                        time.perf_counter() - t0, "external")
+                        time.perf_counter() - t0, "external", lp_iterations=0)
 
     integrality = np.array([1 if v.kind == BINARY else 0 for v in ir.variables])
+    options = {"time_limit": float(config.time_limit),
+               "mip_rel_gap": float(config.mip_gap)}
+    if not sub_mips:
+        options.update(dict.fromkeys(PROOF_OPTIONS, False))
     with _stdout_to_stderr():
         try:
-            lp = _highs.HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = n
-            lp.num_row_ = lp.a_matrix_.num_row_ = ir.num_rows
-            lp.col_cost_ = model.cost
-            lp.col_lower_ = model.lower
-            lp.col_upper_ = model.upper
-            lp.row_lower_ = np.where(model.direction <= 0.0, model.rhs,
-                                     -np.inf)
-            lp.row_upper_ = np.where(model.direction >= 0.0, model.rhs,
-                                     np.inf)
-            lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = model.indptr
-            lp.a_matrix_.index_ = model.indices
-            lp.a_matrix_.value_ = model.data
-            lp.integrality_ = [_highs.HighsVarType(int(k))
-                               for k in integrality]
-
-            highs = _highs._Highs()
-            options = {**FIXED_OPTIONS,
-                       "time_limit": float(config.time_limit),
-                       "mip_rel_gap": float(config.mip_gap)}
-            if not sub_mips:
-                options.update(dict.fromkeys(PROOF_OPTIONS, False))
-            for name, value in options.items():
-                if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
-                    raise SolverError(f"HiGHS refused option {name}")
-            if highs.passModel(lp) == _highs.HighsStatus.kError:
-                raise SolverError("HiGHS refused the model")
+            highs = _highs_model(model, options, integrality)
             if start is not None:
                 highs.setSolution(len(start),
                                   np.fromiter(start, dtype=np.int32),
@@ -288,12 +281,163 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
         objective = float(info.objective_function_value)
     solution = Solution(status, objective, values,
                         time.perf_counter() - t0, "external",
-                        highs.modelStatusToString(model_status))
+                        highs.modelStatusToString(model_status),
+                        lp_iterations=int(info.simplex_iteration_count))
     if integrality.any():
         solution.mip_gap = float(info.mip_gap)
         solution.mip_dual_bound = float(info.mip_dual_bound)
         solution.mip_node_count = int(info.mip_node_count)
     return solution
+
+
+def _highs_model(model: _ModelArrays, options: dict,
+                 integrality: np.ndarray | None = None):
+    """A ``_Highs`` object holding ``model``, an LP unless ``integrality``
+    marks its integer columns, with :data:`FIXED_OPTIONS` and ``options``
+    set."""
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.rhs.size
+    lp.col_cost_ = model.cost
+    lp.col_lower_ = model.lower
+    lp.col_upper_ = model.upper
+    lp.row_lower_ = np.where(model.direction <= 0.0, model.rhs, -np.inf)
+    lp.row_upper_ = np.where(model.direction >= 0.0, model.rhs, np.inf)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = model.indptr
+    lp.a_matrix_.index_ = model.indices
+    lp.a_matrix_.value_ = model.data
+    if integrality is not None:
+        lp.integrality_ = [_highs.HighsVarType(int(k)) for k in integrality]
+    highs = _highs._Highs()
+    _set_options(highs, {**FIXED_OPTIONS, **options})
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise SolverError("HiGHS refused the model")
+    return highs
+
+
+def _set_options(highs, options: dict) -> None:
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+            raise SolverError(f"HiGHS refused option {name}")
+
+
+class SideProbe(NamedTuple):
+    """What :func:`probe_sides` proved: ``fixed`` maps each cosine side
+    column it fixed to its value, and ``lp_iterations`` counts the simplex
+    iterations of every LP it solved."""
+
+    fixed: dict[int, float]
+    lp_iterations: int
+
+
+def probe_sides(ir: ModelIR, start: dict[int, float],
+                sides: list[tuple[int, int, int]], budget: int,
+                time_limit: float) -> SideProbe:
+    """Cosine sides that no plan at least as cheap as ``start`` can flip.
+
+    ``start`` must give a 0/1 value to every free binary of ``ir``, or
+    nothing is probed.  ``sides`` lists ``(side, a, b)`` column triples, a
+    side binary that is 1 on the angle difference ``x = a - b >= 0`` and
+    0 on ``x <= 0``.  The probe is optimality-based bound tightening
+    (Coffrin, Hijazi & Van Hentenryck, 2015) on one HiGHS LP object:
+
+    1. The LP with the start's binaries fixed gives the incumbent cost
+       ``z`` and each ``x``.  If it is not optimal, nothing is probed.
+    2. The binaries get their bounds back, the row ``cost <= z`` (plus
+       :data:`PROBE_SLACK` of ``|z|``) is added and the cost is zeroed.
+       The basis stays primal feasible, so each later LP runs primal
+       simplex from the last one's basis.
+    3. In ``sides`` order, each side is probed once, toward the other
+       side: ``x`` is minimized when the incumbent's ``x > 0`` and
+       maximized when it is ``< 0``.  An optimal LP value that keeps the
+       incumbent's sign (``>= 0`` or ``<= 0``, with no tolerance) fixes the
+       side at the incumbent's value.  A side whose ``x`` some LP point
+       has already put on the other side, strictly, is not probed
+       (Gleixner, Berthold, Müller & Weltge, 2017, filter such bounds).
+    4. All LPs together get at most ``budget`` simplex iterations and
+       ``time_limit`` seconds; the first LP that ends short of optimal
+       ends the probe.  The iteration budget keeps the fixings a
+       function of the model alone.
+
+    Every plan that costs at most ``z`` keeps each fixed side's sign or
+    has ``x = 0``, where both sides give the same flow, so the fixings cut
+    off no such plan, the optimum included.
+    """
+    free = [v.index for v in ir.free_binaries()]
+    if budget <= 0 or time_limit <= 0.0 or any(i not in start for i in free):
+        return SideProbe({}, 0)
+    model = _model_arrays(ir)
+    pinned = model._replace(lower=model.lower.copy(),
+                            upper=model.upper.copy())
+    pinned.lower[free] = pinned.upper[free] = [start[i] for i in free]
+    with _stdout_to_stderr():
+        try:
+            highs = _highs_model(pinned, {"time_limit": float(time_limit)})
+            return _probe(highs, model, np.array(free, dtype=np.int32),
+                          sides, budget)
+        except SolverError:
+            raise
+        except Exception as exc:  # malformed input surfaced by HiGHS
+            raise SolverError(
+                f"external solver rejected the probe: {exc}") from exc
+
+
+def _probe(highs, model: _ModelArrays, free: np.ndarray,
+           sides: list[tuple[int, int, int]], budget: int) -> SideProbe:
+    """The steps of :func:`probe_sides` on ``highs``, which holds ``model``
+    with its ``free`` binaries fixed at the start."""
+    used = 0
+
+    def run() -> np.ndarray | None:
+        """Solve within what is left of the budget: the point, or ``None``
+        when the LP ends short of optimal."""
+        nonlocal used
+        _set_options(highs, {"simplex_iteration_limit": budget - used})
+        highs.run()
+        used += int(highs.getInfo().simplex_iteration_count)
+        if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+            return None
+        return np.array(highs.getSolution().col_value, dtype=float)
+
+    x = run()
+    if x is None:
+        return SideProbe({}, used)
+    z = float(highs.getInfo().objective_function_value)
+    # Unfixed, a nonbasic binary stays at the bound it was fixed at, so the
+    # basis stays primal feasible.
+    basis = highs.getBasis()
+    status = basis.col_status
+    for i in free:
+        if status[i] != _highs.HighsBasisStatus.kBasic:
+            status[i] = (_highs.HighsBasisStatus.kUpper if x[i] > 0.5
+                         else _highs.HighsBasisStatus.kLower)
+    basis.col_status = status
+    highs.changeColsBounds(free.size, free, model.lower[free],
+                           model.upper[free])
+    highs.setBasis(basis)
+    priced = np.flatnonzero(model.cost).astype(np.int32)
+    highs.addRow(-np.inf, z + PROBE_SLACK * abs(z), priced.size, priced,
+                 model.cost[priced])
+    highs.changeColsCost(priced.size, priced, np.zeros(priced.size))
+    _set_options(highs, {"simplex_strategy": PRIMAL_SIMPLEX})
+
+    side, a, b = np.array(sides, dtype=np.int32).reshape(-1, 3).T
+    sign = np.sign(x[a] - x[b])      # 0 once a side needs no probe
+    fixed = {}
+    for k in range(side.size):
+        if sign[k] == 0.0:
+            continue
+        cols = np.array([a[k], b[k]], dtype=np.int32)
+        highs.changeColsCost(2, cols, np.array([sign[k], -sign[k]]))
+        y = run()
+        highs.changeColsCost(2, cols, np.zeros(2))
+        if y is None:
+            break
+        if sign[k] * (y[a[k]] - y[b[k]]) >= 0.0:
+            fixed[int(side[k])] = 1.0 if sign[k] > 0.0 else 0.0
+        sign[sign * (y[a] - y[b]) < 0.0] = 0.0
+    return SideProbe(fixed, used)
 
 
 _redirect_lock = threading.Lock()

@@ -16,7 +16,8 @@ from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
                        hbe_residual_audit, oracle_solve, plan_document,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
-from gridxpand.ir import GE
+from gridxpand.ir import GE, LE
+from gridxpand.solve import probe_sides, simplex_lp
 from support import (CORRIDOR_KINDS, STANDARD_ROBUST, UNRATED,
                      build_per_line_form, corridor_count, corridor_direction,
                      corridor_instance, random_instance,
@@ -295,12 +296,188 @@ class TestSeededThermalRuns:
         worse = external_solve(pinned, FAST)
         ref = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
         assert worse.objective > ref.objective + 1e5
+        # The start leaves the cosine side free, so no side is probed,
+        # whatever the budget.
         monkeypatch.setattr(runner_module, "_thermal_start",
-                            lambda *args: start)
+                            given_start(start))
         plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
         assert plan.audit["solver"]["seeded"] is True
+        assert plan.audit["solver"]["fixed_sides"] == 0
+        assert plan.audit["solver"]["probe_lp_iterations"] == 0
         assert plan.added_lines == ()
         assert plan.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+def given_start(values: dict[int, float]):
+    """A stand-in for ``_thermal_start`` that returns ``values`` as the
+    start of a seed solve that branched, with an unbounded probe budget."""
+    return lambda *args: runner_module._Start(values, 10**6, 2)
+
+
+class TestSideProbe:
+    """The cosine sides fixed by :func:`~gridxpand.solve.probe_sides`
+    between the seed and the final solve."""
+
+    def test_fixings_never_cut_off_the_optimum(self, monkeypatch):
+        """On thermal draws of ``random_instance`` and each corridor kind,
+        probed without a budget so that every side is probed, ``run_plan``
+        matches the oracle, and the oracle optimum's angle difference has
+        each fixed side's sign or is 0.  Each fixing is checked against
+        the oracle's own dense simplex too: over the LP relaxation with the
+        row ``cost <= z``, the angle difference keeps the fixed sign."""
+        seeds = runner_module._thermal_start
+        probe = runner_module.probe_sides
+        probes = []
+
+        def thermal_start(*args):
+            seed = seeds(*args)
+            return None if seed is None else given_start(seed.values)()
+
+        def recording(ir, start, *args):
+            result = probe(ir, start, *args)
+            probes.append((start, result.fixed))
+            return result
+        monkeypatch.setattr(runner_module, "_thermal_start", thermal_start)
+        monkeypatch.setattr(runner_module, "probe_sides", recording)
+        rng = np.random.default_rng(31337)
+        draws = []
+        while len(draws) < 12:
+            case, params, mode = random_instance(rng)
+            if mode == "dtlr_robust":
+                draws.append((case, params, mode))
+        for kind in CORRIDOR_KINDS:
+            rng = np.random.default_rng(2100 + CORRIDOR_KINDS.index(kind))
+            draws += [corridor_instance(rng, kind) for _ in range(4)]
+        n_optimal = n_fixed = 0
+        for k, (case, params, mode) in enumerate(draws):
+            probes.clear()
+            plan = run_plan(case, params, mode, FAST)
+            ir, vm = build_igtep(case, params, mode)
+            ref = oracle_solve(ir, SolveConfig(backend="oracle",
+                                               time_limit=60.0))
+            assert plan.status == ref.status, k
+            if ref.status != "optimal":
+                continue
+            n_optimal += 1
+            assert abs(plan.objective - ref.objective) <= \
+                1e-6 * max(1.0, abs(ref.objective)), k
+            [(start, fixed)] = probes
+            assert plan.audit["solver"]["fixed_sides"] == len(fixed)
+            z = simplex_lp(ir, {i: (v, v) for i, v in start.items()})[1]
+            ir.add_row("cost", dict(ir.objective), LE, z + 1e-9 * abs(z))
+            for (a, b, d), side in vm.cos_side.items():
+                if side not in fixed:
+                    continue
+                n_fixed += 1
+                sign = 1.0 if fixed[side] else -1.0
+                diff = ref.values[vm.angle[a, d]] - ref.values[vm.angle[b, d]]
+                assert sign * diff >= -1e-9, k
+                ir.objective = {vm.angle[a, d]: sign, vm.angle[b, d]: -sign}
+                assert simplex_lp(ir)[1] >= -1e-9, k
+        assert n_optimal >= 20 and n_fixed >= 5
+
+    def test_worse_start_is_probed_and_overruled(self, monkeypatch):
+        """A start that sets every free binary to the plan of a worse
+        model, one that must build the candidate line, is probed under
+        its own higher cost, and the plan still reaches the oracle
+        optimum."""
+        case = toy_case()
+        ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        pinned, _ = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        pinned.add_row("pin", {vm.line_built["L"]: 1.0}, GE, 1.0)
+        worse = external_solve(pinned, FAST)
+        ref = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
+        assert worse.objective > ref.objective + 1e5
+        start = {v.index: float(round(worse.values[v.index]))
+                 for v in ir.free_binaries()}
+        monkeypatch.setattr(runner_module, "_thermal_start",
+                            given_start(start))
+        plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
+        assert plan.audit["solver"]["probe_lp_iterations"] > 0
+        assert plan.added_lines == ()
+        assert plan.objective == pytest.approx(ref.objective, rel=1e-6)
+
+    def test_infeasible_completion_runs_without_fixings(self, monkeypatch):
+        """A start that builds nothing cannot cover the toy's load: its
+        completion LP is infeasible, so no side is fixed, and HiGHS drops
+        the start."""
+        case = toy_case()
+        ir, _ = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        start = {v.index: 0.0 for v in ir.free_binaries()}
+        assert external_solve(ir, FAST, fixed=start).status == "infeasible"
+        monkeypatch.setattr(runner_module, "_thermal_start",
+                            given_start(start))
+        plan = run_plan(case, STANDARD_ROBUST, "dtlr_robust", FAST)
+        assert plan.audit["solver"]["seeded"] is True
+        assert plan.audit["solver"]["fixed_sides"] == 0
+        assert plan.status == "optimal"
+        assert plan.objective == pytest.approx(
+            toy_robust_objective(STANDARD_ROBUST), rel=1e-6)
+
+    def test_budget_cuts_the_probe_short(self, six_bus, six_bus_robust):
+        """A smaller budget probes a prefix of the same sides: its fixings
+        are a subset of a larger budget's, and no probe spends more than
+        its budget.  A start that leaves a side free is not probed, nor is
+        any start once the time limit is used up."""
+        case = scale_to_peak(six_bus, 750.0)
+        ir, vm = build_igtep(case, six_bus_robust, "dtlr_robust")
+        seed = runner_module._thermal_start(case, six_bus_robust, vm, FAST,
+                                            60.0)
+        sides = [(side, vm.angle[a, d], vm.angle[b, d])
+                 for (a, b, d), side in vm.cos_side.items()]
+        fixed = {}
+        for budget in (0, 100, 300, 600, 10**6):
+            probe = probe_sides(ir, seed.values, sides, budget, 60.0)
+            assert probe.lp_iterations <= budget
+            assert fixed.items() <= probe.fixed.items()
+            fixed = probe.fixed
+        assert len(fixed) > 0
+        partial = dict(seed.values)
+        del partial[sides[0][0]]
+        assert probe_sides(ir, partial, sides, 10**6, 60.0) == ({}, 0)
+        assert probe_sides(ir, seed.values, sides, 10**6, -1.0) == ({}, 0)
+
+    def test_two_runs_fix_the_same_sides_and_documents(self, six_bus,
+                                                       six_bus_robust):
+        config = SolveConfig(time_limit=120.0, mip_gap=1e-4)
+        case = scale_to_peak(six_bus, 800.0)
+        plans = [run_plan(case, six_bus_robust, "dtlr_robust", config)
+                 for _ in range(2)]
+        fixed = [plan.audit["solver"]["fixed_sides"] for plan in plans]
+        assert fixed[0] == fixed[1] > 0
+        docs = [json.dumps(plan_document(plan), sort_keys=True, indent=2)
+                for plan in plans]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("name, peak, probed", [
+        ("six_bus", 600.0, True), ("rts24", 4000.0, False)])
+    def test_probe_stays_within_the_seed_iterations(self, request,
+                                                    monkeypatch, name, peak,
+                                                    probed):
+        """The probe spends no more simplex iterations than the seed solve
+        did: at six-bus 600 MW all of them, before every side is probed.
+        The RTS24 seed closes at the root, so its thermal sides are not
+        probed at all."""
+        seeds = []
+        inner = runner_module.external_solve
+
+        def recording(*args, **kwargs):
+            seeds.append(inner(*args, **kwargs))
+            return seeds[-1]
+        monkeypatch.setattr(runner_module, "external_solve", recording)
+        case = scale_to_peak(request.getfixturevalue(name), peak)
+        params = request.getfixturevalue(f"{name}_scenario").robust
+        plan = run_plan(case, params, "dtlr_robust",
+                        SolveConfig(time_limit=120.0, mip_gap=1e-4))
+        solver = plan.audit["solver"]
+        [seed] = seeds
+        assert solver["seed_lp_iterations"] == seed.lp_iterations > 0
+        assert (seed.mip_node_count > 1) is probed
+        assert solver["probe_lp_iterations"] == (seed.lp_iterations
+                                                 if probed else 0)
+        _, vm = build_igtep(case, params, "dtlr_robust")
+        assert solver["fixed_sides"] < len(vm.cos_side)
+        assert plan.status == "optimal"
 
 
 class TestCorridors:

@@ -262,6 +262,23 @@ class TestExternalSolve:
         assert sol.mip_dual_bound == pytest.approx(-6.0)
         assert sol.mip_node_count >= 0
 
+    def test_reports_lp_iterations(self, six_bus, six_bus_robust):
+        ir, _ = build_igtep(scale_to_peak(six_bus, 500.0), six_bus_robust,
+                            "dc_det")
+        sol = external_solve(ir)
+        assert isinstance(sol.lp_iterations, int) and sol.lp_iterations > 0
+        assert oracle_solve(known_milp()).lp_iterations is None
+
+    def test_fixed_columns_replace_their_bounds(self):
+        """Fixing x leaves room in the budget for z alone, and the model's
+        own bounds are untouched."""
+        ir = known_milp()
+        sol = external_solve(ir, fixed={0: 1.0})
+        assert sol.objective == pytest.approx(-5.0)
+        assert list(sol.values) == pytest.approx([1.0, 0.0, 1.0])
+        assert ir.variables[0].lower == 0.0
+        assert external_solve(ir).objective == pytest.approx(-6.0)
+
     @pytest.mark.parametrize("start", [
         {0: 1.0, 1: 0.0, 2: 0.0},   # feasible but worse than the optimum
         {0: 1.0, 1: 1.0, 2: 1.0},   # breaks the budget row; HiGHS drops it
@@ -500,6 +517,42 @@ class TestHighsBinding:
         assert (info.primal_solution_status
                 == h.SolutionStatus.kSolutionStatusFeasible)
         assert list(highs.getSolution().col_value) in ([1.0, 0.0], [0.0, 1.0])
+
+    def test_lp_members_keep_their_shape(self):
+        """What :func:`~gridxpand.solve.probe_sides` drives: a warm LP
+        re-solved after bound, row and cost changes, whose iteration limit
+        and count hold per run."""
+        h = solve_module._highs
+        highs = h._Highs()
+        assert highs.setOptionValue("log_to_console", False) == h.HighsStatus.kOk
+        # max x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  0 <= x, y <= 3
+        for _ in range(2):
+            assert highs.addVar(0.0, 3.0) == h.HighsStatus.kOk
+        cols = np.array([0, 1], dtype=np.int32)
+        highs.changeColsCost(2, cols, np.array([-1.0, -1.0]))
+        highs.addRow(-np.inf, 4.0, 2, cols, np.array([1.0, 2.0]))
+        highs.addRow(-np.inf, 6.0, 2, cols, np.array([3.0, 1.0]))
+        highs.run()
+        assert highs.getModelStatus() == h.HighsModelStatus.kOptimal
+        assert highs.getInfo().simplex_iteration_count > 0
+        assert list(highs.getSolution().col_value) == pytest.approx([1.6, 1.2])
+        basis = highs.getBasis()
+        assert list(basis.col_status) == [h.HighsBasisStatus.kBasic] * 2
+        assert highs.setBasis(basis) == h.HighsStatus.kOk
+        assert highs.changeColsBounds(1, np.array([0], dtype=np.int32),
+                                      np.array([0.0]), np.array([1.0])) \
+            == h.HighsStatus.kOk
+        for name, value in (("simplex_strategy", 4),
+                            ("simplex_iteration_limit", 0)):
+            assert highs.setOptionValue(name, value) == h.HighsStatus.kOk
+        highs.run()
+        assert highs.getModelStatus() == h.HighsModelStatus.kIterationLimit
+        assert highs.getInfo().simplex_iteration_count == 0
+        highs.setOptionValue("simplex_iteration_limit", 100)
+        highs.run()
+        assert highs.getModelStatus() == h.HighsModelStatus.kOptimal
+        assert 0 < highs.getInfo().simplex_iteration_count <= 100
+        assert list(highs.getSolution().col_value) == pytest.approx([1.0, 1.5])
 
     @pytest.mark.parametrize("name", ["mip_heuristic_run_rins",
                                       "mip_heuristic_run_rens",
@@ -1094,10 +1147,12 @@ class TestSolveDispatch:
 
         monkeypatch.setattr(solve_module, "external_solve", external)
         assert solve(ir, sub_mips=False) == "external"
-        assert seen == [{"start": None, "sub_mips": False}]
+        assert solve(ir, fixed={0: 1.0}) == "external"
+        assert seen == [{"start": None, "sub_mips": False, "fixed": None},
+                        {"start": None, "sub_mips": True, "fixed": {0: 1.0}}]
         oracle = solve(ir, SolveConfig(backend="oracle"), sub_mips=False)
         assert oracle.objective == pytest.approx(-6.0)
-        assert len(seen) == 1
+        assert len(seen) == 2
 
     def test_value_requires_solution(self):
         ir = ModelIR()
