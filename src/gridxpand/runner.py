@@ -23,7 +23,11 @@ model alone.  A seed that closes at the root gives no probe: that budget
 fixes only 4-6 of RTS24's 170 sides, and the thermal proof there closes
 at the root too.  At an angle difference of 0 both sides give the same
 flow, so no fixing cuts off the optimum: status, gap and dual bound keep
-their meaning.
+their meaning.  Once the probe has reached every side, the sides it left
+unfixed add almost nothing to the bound, so the start is first proved on
+the model with those sides relaxed to continuous columns
+(:func:`~gridxpand.solve.prove_relaxed`), and the final solve, with its
+branching on the sides, runs only when that proof falls short.
 
 Static-rating solves (``dc_det``, ``dc_robust``, the rated DC seed) are
 proof solves, without HiGHS's sub-MIP heuristics and root restarts: root
@@ -53,7 +57,8 @@ from typing import NamedTuple
 from .builder import (MODES, PlanResult, VarMap, build_igtep, extract_plan,
                       hbe_certificate_bound, hbe_residual_audit)
 from .network import CaseSystem, scale_to_peak
-from .solve import SideProbe, SolveConfig, external_solve, probe_sides, solve
+from .solve import (RelaxedProof, SideProbe, SolveConfig, external_solve,
+                    probe_sides, prove_relaxed, solve)
 from .uncertainty import RobustParams
 
 DISPLAY_COST_UNIT = 1e7            # tables print $ x 10^7
@@ -93,6 +98,18 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     the start has its sign or an angle difference of 0, where both sides
     give the same flow, so the fixings never change the optimum.
 
+    After a probe that reached the end of its side list,
+    :func:`~gridxpand.solve.prove_relaxed` solves the model with every
+    unfixed side relaxed to a continuous column, within what is left of
+    the time limit.  Its dual bound proves either the start, at the
+    probe's completed point, or the relaxed incumbent with each unfixed
+    side repaired to the sign of its angle difference; that plan is then
+    the answer, ``optimal`` with the relaxed dual bound and no final solve.
+    Otherwise the final solve runs as it would without the proof, from
+    the repaired plan when it is cheaper than the start.  A probe that
+    stopped on its budget or the time limit leaves the relaxation loose,
+    so that row goes straight to the final solve.
+
     ``dc_det``, ``dc_robust`` and a thermal solve that gets a start are
     proof solves, with ``sub_mips=False`` (see
     :func:`~gridxpand.solve.external_solve`): no sub-MIP heuristics and no
@@ -104,9 +121,13 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
     and simplex iterations (``lp_iterations``), whether a start was passed
     to HiGHS, the seed's and the probe's simplex iterations
     (``seed_lp_iterations``, ``probe_lp_iterations``), how many sides the
-    probe fixed (``fixed_sides``) and whether the final solve allowed the
-    sub-MIP heuristics and root restarts (``sub_mips``); like
-    ``runtime_s`` it stays out of :func:`plan_document`.  For
+    probe fixed (``fixed_sides``), which solve proved the plan (``proof``:
+    ``relaxed`` or ``final``), the relaxed solve's simplex iterations and
+    nodes (``relaxed_lp_iterations``, ``relaxed_nodes``; 0 when it did not
+    run) and whether the final solve allowed the sub-MIP heuristics and
+    root restarts (``sub_mips``); like ``runtime_s`` it stays out of
+    :func:`plan_document`.  When the relaxed solve proved the plan, the
+    gap, dual bound, nodes and iterations are its own.  For
     thermal-rating plans the nonlinear heat-balance audit runs
     automatically and lands in ``plan.audit["hbe"]`` next to the certified
     residual bound.
@@ -120,16 +141,24 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
                               SEED_TIME_SHARE * config.time_limit)
     start = None if seed is None else seed.values
     probe = SideProbe({}, 0)
+    proof = RelaxedProof(None, start)
     if seed is not None and seed.nodes > 1:
         sides = [(side, vm.angle[a, d], vm.angle[b, d])
                  for (a, b, d), side in vm.cos_side.items()]
         probe = probe_sides(ir, start, sides, seed.lp_iterations,
                             config.time_limit - (time.perf_counter() - t0))
-    left = max(config.time_limit - (time.perf_counter() - t0),
-               FINAL_TIME_FLOOR_S)
+        left = config.time_limit - (time.perf_counter() - t0)
+        if probe.complete and left > FINAL_TIME_FLOOR_S:
+            proof = prove_relaxed(ir, replace(config, time_limit=left),
+                                  start, sides, probe)
+            start = proof.start
     sub_mips = mode == "dtlr_robust" and start is None
-    solution = solve(ir, replace(config, time_limit=left), start=start,
-                     sub_mips=sub_mips, fixed=probe.fixed)
+    solution = proof.solution
+    if solution is None:
+        left = max(config.time_limit - (time.perf_counter() - t0),
+                   FINAL_TIME_FLOOR_S)
+        solution = solve(ir, replace(config, time_limit=left), start=start,
+                         sub_mips=sub_mips, fixed=probe.fixed)
     plan = extract_plan(solution, vm, case)
     plan.audit["backend"] = config.backend
     plan.audit["runtime_s"] = time.perf_counter() - t0
@@ -142,6 +171,10 @@ def run_plan(case: CaseSystem, params: RobustParams | None, mode: str,
                                                    seed.lp_iterations),
                             "probe_lp_iterations": probe.lp_iterations,
                             "fixed_sides": len(probe.fixed),
+                            "proof": ("final" if proof.solution is None
+                                      else "relaxed"),
+                            "relaxed_lp_iterations": proof.lp_iterations,
+                            "relaxed_nodes": proof.nodes,
                             "sub_mips": sub_mips}
     if mode == "dtlr_robust" and plan.has_plan:
         residuals = hbe_residual_audit(plan, case)

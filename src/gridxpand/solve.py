@@ -25,7 +25,11 @@ Between the seed and the final thermal solve, :func:`probe_sides` fixes
 the cosine sides that no plan as cheap as the start can flip: warm LPs on
 one HiGHS object, within the seed solve's own simplex iteration count.
 The final solve takes them as fixed bounds (``fixed``).  They cut off no
-plan at least as cheap as the start, so the optimum stays.
+plan at least as cheap as the start, so the optimum stays.  When the
+probe reached every side, :func:`prove_relaxed` first tries to prove the
+start, or a repair of the relaxed incumbent, by the dual bound of the
+model with the unfixed sides relaxed to continuous columns; the final
+solve runs only when that falls short.
 
 Both backends read the model through one export to arrays
 (:func:`_model_arrays`): cost, the row matrix as a compressed sparse row
@@ -222,7 +226,8 @@ def solve(ir: ModelIR, config: SolveConfig | None = None, *,
 def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                    start: dict[int, float] | None = None,
                    sub_mips: bool = True,
-                   fixed: dict[int, float] | None = None) -> Solution:
+                   fixed: dict[int, float] | None = None,
+                   _continuous: list[int] | None = None) -> Solution:
     """Solve with HiGHS at ``config.mip_gap`` within ``config.time_limit``.
 
     ``start`` holds values for some or all columns, by index, and is offered
@@ -238,7 +243,9 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
     heuristic; the default leaves every other search option at HiGHS's own
     value.  An option HiGHS refuses raises :class:`SolverError` naming it.
     The solution carries HiGHS's simplex iteration count, strong branching
-    and every node's LPs included.
+    and every node's LPs included.  ``_continuous``, for
+    :func:`prove_relaxed`, lists binary columns to solve as continuous
+    ones on their bounds.
     """
     config = config if config is not None else SolveConfig()
     t0 = time.perf_counter()
@@ -252,6 +259,8 @@ def external_solve(ir: ModelIR, config: SolveConfig | None = None, *,
                         time.perf_counter() - t0, "external", lp_iterations=0)
 
     integrality = np.array([1 if v.kind == BINARY else 0 for v in ir.variables])
+    if _continuous:
+        integrality[_continuous] = 0
     options = {"time_limit": float(config.time_limit),
                "mip_rel_gap": float(config.mip_gap)}
     if not sub_mips:
@@ -325,10 +334,18 @@ def _set_options(highs, options: dict) -> None:
 class SideProbe(NamedTuple):
     """What :func:`probe_sides` proved: ``fixed`` maps each cosine side
     column it fixed to its value, and ``lp_iterations`` counts the simplex
-    iterations of every LP it solved."""
+    iterations of every LP it solved.  ``cost`` and ``point`` are the
+    start's cost ``z`` and its completed point, from the LP with the
+    start's binaries fixed, or ``None`` when that LP did not reach its
+    optimum.  ``complete`` says whether the probe reached the end of its
+    side list, rather than stopping on the iteration budget or the time
+    limit."""
 
     fixed: dict[int, float]
     lp_iterations: int
+    cost: float | None = None
+    point: np.ndarray | None = None
+    complete: bool = False
 
 
 def probe_sides(ir: ModelIR, start: dict[int, float],
@@ -362,7 +379,10 @@ def probe_sides(ir: ModelIR, start: dict[int, float],
 
     Every plan that costs at most ``z`` keeps each fixed side's sign or
     has ``x = 0``, where both sides give the same flow, so the fixings cut
-    off no such plan, the optimum included.
+    off no such plan, the optimum included.  The result also carries
+    ``z`` and the first LP's point, the start completed, and whether the
+    probe reached the end of ``sides`` (``complete``) or stopped on the
+    budget or the time limit.
     """
     free = [v.index for v in ir.free_binaries()]
     if budget <= 0 or time_limit <= 0.0 or any(i not in start for i in free):
@@ -433,11 +453,123 @@ def _probe(highs, model: _ModelArrays, free: np.ndarray,
         y = run()
         highs.changeColsCost(2, cols, np.zeros(2))
         if y is None:
-            break
+            return SideProbe(fixed, used, z, x)
         if sign[k] * (y[a[k]] - y[b[k]]) >= 0.0:
             fixed[int(side[k])] = 1.0 if sign[k] > 0.0 else 0.0
         sign[sign * (y[a] - y[b]) < 0.0] = 0.0
-    return SideProbe(fixed, used)
+    return SideProbe(fixed, used, z, x, complete=True)
+
+
+class RelaxedProof(NamedTuple):
+    """What :func:`prove_relaxed` settled.  ``solution`` is a plan proved
+    within the gap, or ``None`` when the final solve must run, from
+    ``start``.  ``bound`` is the relaxed solve's dual bound (``None`` when
+    none was solved or it gave none), and ``lp_iterations`` and ``nodes``
+    count the simplex iterations of the relaxed solve and its repair LP and
+    the relaxed solve's nodes."""
+
+    solution: Solution | None
+    start: dict[int, float]
+    bound: float | None = None
+    lp_iterations: int = 0
+    nodes: int = 0
+
+
+def prove_relaxed(ir: ModelIR, config: SolveConfig, start: dict[int, float],
+                  sides: list[tuple[int, int, int]],
+                  probe: SideProbe) -> RelaxedProof:
+    """Prove a probed start on the model with its unfixed cosine sides
+    relaxed, before any branching on them.
+
+    ``start`` and ``sides`` are those :func:`probe_sides` took and
+    ``probe`` its result.  Every side that ``probe`` left unfixed becomes a
+    continuous column on [0, 1]; build and unit binaries stay integral.
+    That model is solved as a proof solve (``sub_mips=False``) with
+    ``probe.fixed``, at ``config.mip_gap`` within ``config.time_limit``,
+    from the start's completed point ``probe.point``.  Its HiGHS dual bound
+    ``LB`` bounds every plan as cheap as the start from below: the fixings
+    cut off no such plan and dropping integrality only relaxes.  So the
+    bound, never the relaxed objective, decides:
+
+    1. If ``z - LB <= mip_gap * |z|``, with ``z`` the start's cost, the
+       answer is ``probe.point``.
+    2. Otherwise the relaxed incumbent is repaired: it keeps its build and
+       unit values, each unfixed side takes the sign of its angle
+       difference (``x >= 0`` gives 1), and an LP with every binary fixed
+       gives its cost ``w``.  If ``w - LB <= mip_gap * |w|``, that LP's
+       point is the answer.
+    3. Otherwise nothing is proved.  The final solve then starts from the
+       repaired binaries when ``w < z`` and from ``start`` when not.
+
+    A proved answer is ``optimal``, with ``LB`` as its dual bound, gap
+    ``max(0, (cost - LB) / |cost|)``, and the relaxed solve's nodes.
+    Nothing is solved when ``probe`` has no completed point or fixed every
+    side.
+    """
+    t0 = time.perf_counter()
+    relaxed = [side for side, _, _ in sides if side not in probe.fixed]
+    if probe.point is None or not relaxed:
+        return RelaxedProof(None, start)
+    solution = external_solve(
+        ir, config, start=dict(enumerate(probe.point.tolist())),
+        sub_mips=False, fixed=probe.fixed, _continuous=relaxed)
+    bound = solution.mip_dual_bound
+    iterations, nodes = solution.lp_iterations, solution.mip_node_count or 0
+
+    def proved(objective: float, values: np.ndarray,
+               what: str) -> RelaxedProof | None:
+        if bound is None or objective - bound > config.mip_gap * abs(objective):
+            return None
+        gap = max(0.0, objective - bound) / abs(objective) if objective else 0.0
+        return RelaxedProof(
+            Solution(OPTIMAL, objective, values, time.perf_counter() - t0,
+                     "external", f"Optimal: {what}, proved on the cosine-side "
+                     "relaxation", mip_gap=gap, mip_dual_bound=bound,
+                     mip_node_count=nodes, lp_iterations=iterations),
+            start, bound, iterations, nodes)
+
+    answer = proved(probe.cost, probe.point, "the start")
+    if answer is not None:
+        return answer
+    left = config.time_limit - (time.perf_counter() - t0)
+    if solution.values is not None and left > 0.0:
+        x = solution.values
+        repaired = {i: float(round(x[i])) for i in start}
+        for side, a, b in sides:
+            if side not in probe.fixed:
+                repaired[side] = 1.0 if x[a] - x[b] >= 0.0 else 0.0
+        lp = _pinned_lp(ir, repaired, left)
+        if lp is not None:
+            cost, values, lp_iterations = lp
+            iterations += lp_iterations
+            answer = proved(cost, values, "the repaired relaxed incumbent")
+            if answer is not None:
+                return answer
+            if cost < probe.cost:
+                start = repaired
+    return RelaxedProof(None, start, bound, iterations, nodes)
+
+
+def _pinned_lp(ir: ModelIR, values: dict[int, float], time_limit: float):
+    """The LP of ``ir`` with the columns in ``values`` fixed there:
+    ``(cost, point, simplex iterations)``, or ``None`` when it does not
+    reach its optimum within ``time_limit`` seconds."""
+    model = _model_arrays(ir, {i: (v, v) for i, v in values.items()})
+    with _stdout_to_stderr():
+        try:
+            highs = _highs_model(model, {"time_limit": float(time_limit)})
+            highs.run()
+        except SolverError:
+            raise
+        except Exception as exc:  # malformed input surfaced by HiGHS
+            raise SolverError(
+                f"external solver rejected the LP: {exc}") from exc
+    if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        return None
+    info = highs.getInfo()
+    return (float(info.objective_function_value),
+            np.array(highs.getSolution().col_value, dtype=float),
+            int(info.simplex_iteration_count))
 
 
 _redirect_lock = threading.Lock()

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 import gridxpand.runner as runner_module
 from gridxpand import (PlanResult, SolveConfig, SweepSpec, build_igtep,
-                       external_solve, hbe_certificate_bound,
+                       external_solve, extract_plan, hbe_certificate_bound,
                        hbe_residual_audit, oracle_solve, plan_document,
                        plan_table, run_plan, run_sweep, scale_to_peak,
                        sweep_table, write_document)
 from gridxpand.ir import GE, LE
-from gridxpand.solve import probe_sides, simplex_lp
+from gridxpand.solve import (RelaxedProof, SideProbe, probe_sides,
+                             prove_relaxed, simplex_lp)
 from support import (CORRIDOR_KINDS, STANDARD_ROBUST, UNRATED,
                      build_per_line_form, corridor_count, corridor_direction,
                      corridor_instance, random_instance,
@@ -417,8 +418,10 @@ class TestSideProbe:
     def test_budget_cuts_the_probe_short(self, six_bus, six_bus_robust):
         """A smaller budget probes a prefix of the same sides: its fixings
         are a subset of a larger budget's, and no probe spends more than
-        its budget.  A start that leaves a side free is not probed, nor is
-        any start once the time limit is used up."""
+        its budget.  Only the unbounded probe reaches the end of its side
+        list; every probe that solved its first LP reports the start's
+        cost and completed point.  A start that leaves a side free is not
+        probed, nor is any start once the time limit is used up."""
         case = scale_to_peak(six_bus, 750.0)
         ir, vm = build_igtep(case, six_bus_robust, "dtlr_robust")
         seed = runner_module._thermal_start(case, six_bus_robust, vm, FAST,
@@ -426,16 +429,24 @@ class TestSideProbe:
         sides = [(side, vm.angle[a, d], vm.angle[b, d])
                  for (a, b, d), side in vm.cos_side.items()]
         fixed = {}
+        costs = []
         for budget in (0, 100, 300, 600, 10**6):
             probe = probe_sides(ir, seed.values, sides, budget, 60.0)
             assert probe.lp_iterations <= budget
             assert fixed.items() <= probe.fixed.items()
+            assert probe.complete is (budget == 10**6)
             fixed = probe.fixed
+            if probe.point is not None:
+                costs.append(probe.cost)
+                assert probe.point[list(seed.values)].tolist() == \
+                    list(seed.values.values())
         assert len(fixed) > 0
+        assert len(costs) >= 3 and len(set(costs)) == 1
         partial = dict(seed.values)
         del partial[sides[0][0]]
-        assert probe_sides(ir, partial, sides, 10**6, 60.0) == ({}, 0)
-        assert probe_sides(ir, seed.values, sides, 10**6, -1.0) == ({}, 0)
+        assert probe_sides(ir, partial, sides, 10**6, 60.0) == SideProbe({}, 0)
+        assert probe_sides(ir, seed.values, sides, 10**6,
+                           -1.0) == SideProbe({}, 0)
 
     def test_two_runs_fix_the_same_sides_and_documents(self, six_bus,
                                                        six_bus_robust):
@@ -457,7 +468,8 @@ class TestSideProbe:
         """The probe spends no more simplex iterations than the seed solve
         did: at six-bus 600 MW all of them, before every side is probed.
         The RTS24 seed closes at the root, so its thermal sides are not
-        probed at all."""
+        probed at all.  Neither row tries the relaxed proof, so both keep
+        the solver path of a run without it."""
         seeds = []
         inner = runner_module.external_solve
 
@@ -465,6 +477,7 @@ class TestSideProbe:
             seeds.append(inner(*args, **kwargs))
             return seeds[-1]
         monkeypatch.setattr(runner_module, "external_solve", recording)
+        monkeypatch.setattr(runner_module, "prove_relaxed", unreachable)
         case = scale_to_peak(request.getfixturevalue(name), peak)
         params = request.getfixturevalue(f"{name}_scenario").robust
         plan = run_plan(case, params, "dtlr_robust",
@@ -478,6 +491,232 @@ class TestSideProbe:
         _, vm = build_igtep(case, params, "dtlr_robust")
         assert solver["fixed_sides"] < len(vm.cos_side)
         assert plan.status == "optimal"
+        assert solver["proof"] == "final"
+        assert solver["relaxed_lp_iterations"] == solver["relaxed_nodes"] == 0
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a solve that must not run was called")
+
+
+def recorded_proofs(monkeypatch) -> list:
+    """Make ``run_plan``'s relaxed proofs record their answers' messages
+    (``None`` for a proof that fell short) in the list returned."""
+    messages = []
+    inner = runner_module.prove_relaxed
+
+    def recording(*args):
+        proof = inner(*args)
+        messages.append(proof.solution and proof.solution.message)
+        return proof
+    monkeypatch.setattr(runner_module, "prove_relaxed", recording)
+    return messages
+
+
+def no_relaxed_proof(ir, config, start, sides, probe):
+    """A stand-in for ``prove_relaxed`` that proves nothing, so that
+    ``run_plan`` takes the final solve as it would without the proof."""
+    return RelaxedProof(None, start)
+
+
+def model_violation(ir, values: np.ndarray) -> float:
+    """The largest amount by which ``values`` breaks a row or a bound of
+    ``ir``."""
+    worst = 0.0
+    for row in ir.rows:
+        slack = row.rhs - ir.row_activity(row, values)
+        worst = max(worst, {LE: -slack, GE: slack}.get(row.sense, abs(slack)))
+    for v in ir.variables:
+        worst = max(worst, v.lower - values[v.index], values[v.index] - v.upper)
+    return worst
+
+
+def case_cost(case, plan: PlanResult) -> float:
+    """A plan's cost from the case data: install costs of what it builds
+    and the dispatch cost over the period durations."""
+    cost = sum(c.install_cost for c in case.lines if c.id in plan.added_lines)
+    cost += sum(g.install_cost for g in case.generators
+                if g.id in plan.added_units)
+    return cost + sum(plan.dispatch[g.id, d.id] * g.op_cost * d.duration
+                      for g in case.generators for d in case.periods)
+
+
+class TestRelaxedProof:
+    """:func:`~gridxpand.solve.prove_relaxed`, called on its own: most
+    random seeds close at the root, so ``run_plan`` alone rarely reaches
+    it."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(31337)
+        draws = []
+        while len(draws) < 12:
+            case, params, mode = random_instance(rng)
+            if mode == "dtlr_robust":
+                draws.append((case, params, mode))
+        for kind in CORRIDOR_KINDS:
+            rng = np.random.default_rng(2100 + CORRIDOR_KINDS.index(kind))
+            draws += [corridor_instance(rng, kind) for _ in range(4)]
+        return draws
+
+    @staticmethod
+    def check(case, params, ir, vm, start, config, ref):
+        """Probe ``start`` without a budget and prove it on the relaxation:
+        the bound never passes the oracle optimum ``ref``, and a proved
+        plan is within the gap of it, integral, inside every row and bound
+        of the model, and costs what the case data say.  Returns the probe
+        and the proof, or ``None`` when the probe left nothing to prove."""
+        sides = [(side, vm.angle[a, d], vm.angle[b, d])
+                 for (a, b, d), side in vm.cos_side.items()]
+        probe = probe_sides(ir, start, sides, 10**6, 60.0)
+        assert probe.complete is (probe.point is not None)
+        proof = prove_relaxed(ir, config, start, sides, probe)
+        if proof.bound is None:
+            assert proof.solution is None and proof.start is start
+            return None
+        scale = max(1.0, abs(ref.objective))
+        assert proof.bound <= ref.objective + 1e-9 * scale
+        solution = proof.solution
+        if solution is None:
+            return probe, proof
+        assert solution.status == "optimal"
+        assert solution.mip_dual_bound == proof.bound
+        assert solution.objective - ref.objective <= \
+            config.mip_gap * abs(solution.objective) + 1e-9 * scale
+        assert solution.objective >= ref.objective - 1e-9 * scale
+        assert solution.mip_gap == pytest.approx(
+            max(0.0, solution.objective - proof.bound)
+            / abs(solution.objective), abs=1e-15)
+        for v in ir.binaries():
+            assert abs(solution.values[v.index]
+                       - round(solution.values[v.index])) <= 1e-9
+        assert model_violation(ir, solution.values) <= 1e-9
+        plan = extract_plan(solution, vm, case)
+        assert case_cost(case, plan) == pytest.approx(solution.objective,
+                                                      rel=1e-9)
+        return probe, proof
+
+    def test_seeded_starts_agree_with_the_oracle(self):
+        """On thermal draws of ``random_instance`` and each corridor kind,
+        from ``_thermal_start``'s start.  The seed is usually the optimum
+        there, so most draws prove the start itself."""
+        n_proved = 0
+        for k, (case, params, mode) in enumerate(self.draws()):
+            ir, vm = build_igtep(case, params, mode)
+            seed = runner_module._thermal_start(case, params, vm, FAST, 60.0)
+            ref = oracle_solve(ir, SolveConfig(backend="oracle",
+                                               time_limit=60.0))
+            if seed is None or ref.status != "optimal":
+                continue
+            checked = self.check(case, params, ir, vm, seed.values, FAST,
+                                 ref)
+            n_proved += checked is not None and checked[1].solution is not None
+        assert n_proved >= 8
+
+    def test_worse_starts_are_repaired_or_passed_on(self):
+        """On the same draws, from a worse start: the plan of the model
+        that must build every candidate.  A proved plan is the oracle's
+        optimum, most of them by the repaired relaxed incumbent; a start
+        the proof cannot settle goes to the final solve, which reaches the
+        optimum from it."""
+        n_repaired = n_final = 0
+        for k, (case, params, mode) in enumerate(self.draws()):
+            ir, vm = build_igtep(case, params, mode)
+            pinned, _ = build_igtep(case, params, mode)
+            builds = [i for i in (*vm.line_built.values(),
+                                  *vm.unit_built.values())
+                      if not ir.variables[i].is_fixed]
+            for i in builds:
+                pinned.add_row(f"pin[{i}]", {i: 1.0}, GE, 1.0)
+            worse = external_solve(pinned, FAST)
+            if not builds or worse.values is None:
+                continue
+            ref = oracle_solve(ir, SolveConfig(backend="oracle",
+                                               time_limit=60.0))
+            start = {v.index: float(round(worse.values[v.index]))
+                     for v in ir.free_binaries()}
+            checked = self.check(case, params, ir, vm, start, FAST, ref)
+            if checked is None:
+                continue
+            probe, proof = checked
+            if proof.solution is not None:
+                n_repaired += "repaired" in proof.solution.message
+                continue
+            n_final += 1
+            final = external_solve(ir, FAST, start=proof.start,
+                                   sub_mips=False, fixed=probe.fixed)
+            assert final.objective == pytest.approx(ref.objective,
+                                                    rel=1e-9), k
+        assert n_repaired >= 15 and n_final >= 1
+
+    def test_the_bound_decides_at_a_loose_gap(self):
+        """At a gap of 50% HiGHS stops the relaxed solve early, from the
+        toy's worse start.  The proof reports that solve's dual bound,
+        which lies below its incumbent's cost, and the gap to it, and its
+        plan is the one the bound admits."""
+        case = toy_case()
+        ir, vm = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        pinned, _ = build_igtep(case, STANDARD_ROBUST, "dtlr_robust")
+        pinned.add_row("pin", {vm.line_built["L"]: 1.0}, GE, 1.0)
+        worse = external_solve(pinned, FAST)
+        ref = oracle_solve(ir, SolveConfig(backend="oracle", time_limit=60.0))
+        start = {v.index: float(round(worse.values[v.index]))
+                 for v in ir.free_binaries()}
+        loose = SolveConfig(time_limit=60.0, mip_gap=0.5)
+        probe, proof = self.check(case, STANDARD_ROBUST, ir, vm, start,
+                                  loose, ref)
+        relaxed = external_solve(
+            ir, loose, start=dict(enumerate(probe.point.tolist())),
+            sub_mips=False, fixed=probe.fixed,
+            _continuous=[i for i in vm.cos_side.values()
+                         if i not in probe.fixed])
+        assert proof.bound == relaxed.mip_dual_bound < relaxed.objective
+        assert proof.solution is not None
+        assert proof.solution.mip_gap >= (
+            (proof.solution.objective - ref.objective)
+            / proof.solution.objective - 1e-12)
+
+    @pytest.mark.parametrize("peak", [750.0, 800.0])
+    def test_benchmark_rows_prove_their_start(self, monkeypatch, six_bus,
+                                              six_bus_robust, peak):
+        """Six-bus 750 and 800 MW are proved on the relaxation, with the
+        start as the plan, and write the bytes of the final solve's
+        plan."""
+        messages = recorded_proofs(monkeypatch)
+        case = scale_to_peak(six_bus, peak)
+        config = SolveConfig(time_limit=120.0, mip_gap=1e-4)
+        plan = run_plan(case, six_bus_robust, "dtlr_robust", config)
+        solver = plan.audit["solver"]
+        assert solver["proof"] == "relaxed"
+        assert ["the start" in m for m in messages] == [True]
+        assert solver["relaxed_nodes"] == solver["mip_node_count"] > 0
+        assert solver["relaxed_lp_iterations"] == solver["lp_iterations"] > 0
+        assert 0.0 <= solver["mip_gap"] <= config.mip_gap
+        monkeypatch.setattr(runner_module, "prove_relaxed", no_relaxed_proof)
+        final = run_plan(case, six_bus_robust, "dtlr_robust", config)
+        assert final.audit["solver"]["proof"] == "final"
+        assert json.dumps(plan_document(plan), sort_keys=True) == \
+            json.dumps(plan_document(final), sort_keys=True)
+
+    def test_repaired_plan_settles_six_bus_850(self, monkeypatch, six_bus,
+                                               six_bus_robust):
+        """At six-bus 850 MW the relaxed bound falls short of the start, and
+        the repaired relaxed incumbent proves: the plan of the final solve,
+        within the gap, with no final solve run."""
+        messages = recorded_proofs(monkeypatch)
+        monkeypatch.setattr(runner_module, "solve", unreachable)
+        case = scale_to_peak(six_bus, 850.0)
+        config = SolveConfig(time_limit=120.0, mip_gap=1e-4)
+        plan = run_plan(case, six_bus_robust, "dtlr_robust", config)
+        assert plan.audit["solver"]["proof"] == "relaxed"
+        assert ["repaired" in m for m in messages] == [True]
+        monkeypatch.undo()
+        monkeypatch.setattr(runner_module, "prove_relaxed", no_relaxed_proof)
+        final = run_plan(case, six_bus_robust, "dtlr_robust", config)
+        assert plan.status == final.status == "optimal"
+        assert (plan.added_lines, plan.added_units) == \
+            (final.added_lines, final.added_units)
+        assert plan.objective == pytest.approx(final.objective, rel=1e-9)
 
 
 class TestCorridors:
